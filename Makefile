@@ -80,19 +80,19 @@ bench-shard-smoke:
 bench-trace:
 	$(GO) run ./scripts/benchtrace -duration 3s -trials 3
 
-# bench-quorum measures the capacity-optimized quorum strategies — a
-# strategy x workload loadgen matrix (uniform / zipf / slow-member /
+# bench-quorum measures the quorum strategies (hint / load / optimized) —
+# a strategy x workload loadgen matrix (uniform / zipf / slow-member /
 # 95%-read) at GOMAXPROCS=4 plus the predicted-vs-measured availability
 # table at the paper's Table 1 operating point — and writes BENCH_9.json.
 # Gates: optimized >= 1.15x load-aware ops/sec under tail injection at
-# equal-or-better read p99; read-dominant read p99 <= 0.8x load-aware's
-# on the 95/5 mix (DESIGN.md §13, EXPERIMENTS.md BENCH_9).
+# equal-or-better read p99; optimized read p99 <= 0.8x load-aware's on
+# the 95/5 mix (DESIGN.md §13, EXPERIMENTS.md BENCH_9).
 bench-quorum:
 	$(GO) run ./scripts/benchquorum -duration 3s -trials 3
 
 # bench-quorum-smoke is the CI-sized version: only the two gated
-# scenarios over the strategies the gates compare, with a short
-# availability horizon and no report file; fails on a gate miss.
+# scenarios over the strategies the gates compare (load, optimized), with
+# a short availability horizon and no report file; fails on a gate miss.
 bench-quorum-smoke:
 	$(GO) run ./scripts/benchquorum -smoke
 

@@ -10,7 +10,7 @@
 //
 // The default view is one screen: cluster-merged counters and gauges,
 // the counter/gauge vectors (quorum pick counts by size, per-node
-// capacity and load-EWMA cells from the weighted strategies, per-shard
+// capacity and load-EWMA cells from the quorum strategies, per-shard
 // totals), the latency histograms' tails, per-shard route latency, and
 // hedge attribution.
 // Merging rules live in internal/capi (ScrapeCluster); cotop is a thin
@@ -159,7 +159,7 @@ func printSummary(w io.Writer, cs *capi.ClusterSnapshot) {
 	}
 
 	// Vector metrics — per-size quorum pick counts, per-node
-	// capacities and load estimates from the weighted strategies, per-shard
+	// capacities and load estimates from the quorum strategies, per-shard
 	// totals — render as index:value pairs over the cluster-summed cells.
 	vnames := make([]string, 0, len(cs.Vecs))
 	for name, vals := range cs.Vecs {

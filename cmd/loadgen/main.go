@@ -14,7 +14,9 @@
 // -batch-queue sizing the combiner), and merges best when -affinity
 // routes all writes for an item through one coordinator. -strategy
 // selects quorum picking: "hint" rotates pseudo-randomly, "load" steers
-// toward the least-loaded endpoints via a shared EWMA load tracker.
+// toward the least-loaded endpoints via a shared EWMA load tracker, and
+// "optimized" samples a solved capacity-weighted quorum distribution
+// (node capacities from -capacity).
 // -batch-prop batches stale propagation per target node.
 //
 // The multi-item, multi-coordinator shape is the contention profile the
@@ -58,7 +60,6 @@ import (
 
 	"coterie/internal/capi"
 	"coterie/internal/core"
-	"coterie/internal/coterie"
 	"coterie/internal/daemon"
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
@@ -249,8 +250,8 @@ func main() {
 	flag.BoolVar(&cfg.batch, "batch", false, "enable the group-commit write combiner")
 	flag.IntVar(&cfg.batchMax, "batch-max", 0, "max writes merged per batched protocol round (0 = core default)")
 	flag.IntVar(&cfg.batchQueue, "batch-queue", 0, "combiner queue depth before writers overflow to the single-write path (0 = core default)")
-	flag.StringVar(&cfg.strategy, "strategy", "hint", "quorum selection strategy: hint (pseudo-random rotation), load (least-loaded via EWMA), optimized (capacity-weighted quorum distribution) or read-dominant (optimized with a small-read-quorum bias)")
-	flag.StringVar(&cfg.capacity, "capacity", "", "relative node capacities for the weighted strategies: id=weight,... (unlisted nodes are 1.0)")
+	flag.StringVar(&cfg.strategy, "strategy", "hint", "quorum selection strategy: hint (pseudo-random rotation), load (least-loaded via EWMA) or optimized (capacity-weighted quorum distribution)")
+	flag.StringVar(&cfg.capacity, "capacity", "", "relative node capacities for -strategy optimized: id=weight,... (unlisted nodes are 1.0)")
 	flag.BoolVar(&cfg.zipfItems, "zipf-items", false, "pick items with Zipf(-zipf theta) popularity instead of uniformly (fixed-item modes; ignored with -disjoint)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "open-loop arrival rate in ops/sec across all workers (0 = closed loop)")
 	flag.BoolVar(&cfg.affinity, "affinity", false, "route all writes for an item through one coordinator so group commit can merge them")
@@ -282,6 +283,9 @@ func main() {
 func run(cfg config) error {
 	if cfg.nodes <= 0 || cfg.items <= 0 || cfg.workers <= 0 {
 		return fmt.Errorf("nodes, items and workers must be positive")
+	}
+	if err := daemon.CheckCapacity(cfg.strategy, cfg.capacity); err != nil {
+		return err
 	}
 	if cfg.shards > 0 {
 		return runShard(cfg)
@@ -343,33 +347,24 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	var tracker *core.LoadTracker
-	if strategy != core.StrategyHint {
-		// One tracker across every coordinator of every item: they all
-		// steer by the same observed per-endpoint load.
-		tracker = core.NewLoadTracker(netw, members, reg)
-	}
-	capacity, err := capacityFunc(cfg.capacity)
-	if err != nil {
-		return err
+	var caps map[nodeset.ID]float64
+	if cfg.capacity != "" {
+		if caps, err = daemon.ParseCapacities(cfg.capacity); err != nil {
+			return err
+		}
 	}
 	copts := core.Options{
 		CallTimeout: cfg.callTimeout,
 		Obs:         reg,
-		Strategy:    strategy,
-		Load:        tracker,
-		Capacity:    capacity,
+		// One engine across every coordinator of every item: they all
+		// steer by the same observed load, and per-coordinator engines
+		// would multiply the solves by nodes×items.
+		Engine: core.NewStrategyEngine(strategy, netw, members, caps, reg),
 		GroupCommit: core.GroupCommitOptions{
 			Enabled:  cfg.batch,
 			MaxBatch: cfg.batchMax,
 			MaxQueue: cfg.batchQueue,
 		},
-	}
-	if strategy.Weighted() {
-		// One engine across every coordinator of every item — the solved
-		// distribution is cluster-wide, and per-coordinator engines would
-		// multiply the background solves by nodes×items.
-		copts.Engine = core.NewStrategyEngine(members, tracker, copts)
 	}
 
 	rcfg := replica.Config{LockLease: 4 * cfg.callTimeout, Obs: reg, PropagationBatch: cfg.batchProp}
@@ -733,24 +728,6 @@ func attachStrategyOutcomes(res *result) {
 	res.StrategyOutcomes = map[string]opOutcomes{
 		res.Strategy: {Reads: res.ReadOutcomes, Writes: res.WriteOutcomes},
 	}
-}
-
-// capacityFunc turns the -capacity flag into a coterie load function, or
-// nil when the cluster is homogeneous.
-func capacityFunc(spec string) (coterie.LoadFunc, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	caps, err := daemon.ParseCapacities(spec)
-	if err != nil {
-		return nil, err
-	}
-	return func(id nodeset.ID) float64 {
-		if c, ok := caps[id]; ok {
-			return c
-		}
-		return 1
-	}, nil
 }
 
 // zipfItemStreams builds one independent Zipfian item stream per worker

@@ -49,16 +49,9 @@ func NewCluster(n int, item string, initial []byte, opts Options) (*Cluster, err
 		nodes:        make(map[nodeset.ID]*replica.Node),
 		coordinators: make(map[nodeset.ID]*Coordinator),
 	}
-	if (c.opts.Strategy == StrategyLoadAware || c.opts.Strategy.Weighted()) && c.opts.Load == nil {
-		// One tracker for the whole cluster: every coordinator steers by
-		// the same observed per-endpoint load.
-		c.opts.Load = NewLoadTracker(c.Net, c.Members, c.opts.Obs)
-	}
-	if c.opts.Strategy.Weighted() && c.opts.Engine == nil {
-		// Likewise one strategy engine: the distribution is cluster-wide
-		// and the background solves must not scale with coordinator count.
-		c.opts.Engine = NewStrategyEngine(c.Members, c.opts.Load, c.opts)
-	}
+	// One strategy engine for the whole cluster: every coordinator steers
+	// by the same observed per-endpoint load and solved distribution.
+	c.opts.Engine = NewStrategyEngine(c.opts.Strategy, c.Net, c.Members, nil, c.opts.Obs)
 	for _, id := range c.Members.IDs() {
 		node := replica.NewNode(id, c.Net, c.opts.Replica)
 		it, err := node.AddItem(item, c.Members, initial)

@@ -35,15 +35,8 @@ type Coordinator struct {
 	// takes effect. Both are nil-safe when observability is disabled.
 	obsReg  *obs.Registry
 	metrics coordMetrics
-	// load/loadFn drive StrategyLoadAware quorum selection; loadFn is the
-	// bound method value, resolved once so the hot path allocates nothing.
-	// Both nil under StrategyHint.
-	load   *LoadTracker
-	loadFn coterie.LoadFunc
-	// strat drives the weighted strategies (StrategyOptimized /
-	// StrategyReadDominant); nil otherwise. Normally the process-shared
-	// engine from Options.Engine. When it has no valid snapshot yet (cold
-	// start, epoch change) picks fall through to the load-aware path above.
+	// strat is the process-shared strategy engine from Options.Engine;
+	// nil means the hint rotation.
 	strat *StrategyEngine
 	// combiner is the group-commit write queue; nil unless enabled.
 	combiner *combiner
@@ -65,21 +58,9 @@ func NewCoordinator(item *replica.Item, net transport.Net, all nodeset.Set, opts
 		layouts: coterie.NewCache(opts.Rule),
 		obsReg:  opts.Obs,
 		metrics: newCoordMetrics(opts.Obs),
+		strat:   opts.Engine,
 	}
 	c.async, _ = net.(transport.AsyncSender)
-	if opts.Strategy == StrategyLoadAware || opts.Strategy.Weighted() {
-		c.load = opts.Load
-		if c.load == nil {
-			c.load = NewLoadTracker(net, c.all, opts.Obs)
-		}
-		c.loadFn = c.load.Load
-	}
-	if opts.Strategy.Weighted() {
-		c.strat = opts.Engine
-		if c.strat == nil {
-			c.strat = NewStrategyEngine(c.all, c.load, opts)
-		}
-	}
 	if opts.GroupCommit.Enabled && opts.SafetyThreshold <= 0 {
 		c.combiner = newCombiner(c, opts.GroupCommit)
 	}
@@ -125,22 +106,14 @@ func hint(op replica.OpID) int {
 	return int(x >> 1)
 }
 
-// pickWriteQuorum selects a write quorum from the layout's candidates per
-// the configured strategy: least-loaded under StrategyLoadAware (with a
-// load refresh at most every loadRefreshInterval), the hint rotation
-// otherwise.
+// pickWriteQuorum selects a write quorum from the layout's candidates
+// through the strategy engine, or by the hint rotation (preferring a
+// quorum containing self) when there is none. Engine picks take no
+// self-preference probe: reshaping them toward self would re-concentrate
+// exactly the load the strategy spreads out.
 func (c *Coordinator) pickWriteQuorum(lay *coterie.Layout, avail nodeset.Set, op replica.OpID) (nodeset.Set, bool) {
 	if c.strat != nil {
-		// Weighted strategies sample the solved distribution directly — no
-		// self-preference probe, because reshaping picks toward self would
-		// re-concentrate exactly the load the solver spread out.
-		if q, ok := c.strat.pickWrite(lay, avail, hint(op)); ok {
-			return q, true
-		}
-	}
-	if c.loadFn != nil {
-		c.load.maybeRefresh()
-		return lay.WriteQuorumLoaded(avail, c.loadFn, hint(op))
+		return c.strat.pickWrite(lay, avail, hint(op))
 	}
 	return preferSelf(c.item.Self(), lay.WriteQuorum, avail, hint(op))
 }
@@ -177,13 +150,7 @@ func preferSelf(self nodeset.ID, pick func(nodeset.Set, int) (nodeset.Set, bool)
 // redraw can re-roll the selection with a remixed hint.
 func (c *Coordinator) pickReadQuorum(lay *coterie.Layout, avail nodeset.Set, h int) (nodeset.Set, bool) {
 	if c.strat != nil {
-		if q, ok := c.strat.pickRead(lay, avail, h); ok {
-			return q, true
-		}
-	}
-	if c.loadFn != nil {
-		c.load.maybeRefresh()
-		return lay.ReadQuorumLoaded(avail, c.loadFn, h)
+		return c.strat.pickRead(lay, avail, h)
 	}
 	return preferSelf(c.item.Self(), lay.ReadQuorum, avail, h)
 }

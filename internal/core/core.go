@@ -58,23 +58,17 @@ const (
 	StrategyLoadAware
 	// StrategyOptimized samples quorums from a solved weighted distribution
 	// over the layout's candidate quorums — the capacity-maximizing LP of
-	// Whittaker et al. with WOC-style heterogeneous node capacities
-	// (Options.Capacity) and the live EWMA load folded in. The distribution
-	// is recomputed on a low-frequency tick (Options.OptimizeInterval) and
-	// swapped atomically; the per-operation pick is one splitmix64 draw and
-	// an alias-table lookup, allocation-free. Until the first solve lands
-	// (and whenever the epoch shifts under it) picks fall back to the
-	// load-aware path.
+	// Whittaker et al. with WOC-style heterogeneous node capacities and
+	// the live EWMA load folded in. Each epoch is solved by the first pick
+	// that meets it and re-solved on a low-frequency background tick; the
+	// per-operation pick is one splitmix64 draw and an alias-table lookup,
+	// allocation-free. Picks fall back to the hint rotation only when a
+	// solve fails.
 	StrategyOptimized
-	// StrategyReadDominant is StrategyOptimized with the solver's
-	// read-size bias enabled: read mass skews toward small, cheap quorums
-	// (per Kumar & Agarwal) at some write-side cost — for read-heavy
-	// workloads where read tail latency dominates.
-	StrategyReadDominant
 )
 
 // String returns the flag-syntax name of the strategy ("hint", "load",
-// "optimized", "read-dominant").
+// "optimized").
 func (s QuorumStrategy) String() string {
 	switch s {
 	case StrategyHint:
@@ -83,8 +77,6 @@ func (s QuorumStrategy) String() string {
 		return "load"
 	case StrategyOptimized:
 		return "optimized"
-	case StrategyReadDominant:
-		return "read-dominant"
 	}
 	return "unknown"
 }
@@ -100,16 +92,8 @@ func ParseStrategy(s string) (QuorumStrategy, error) {
 		return StrategyLoadAware, nil
 	case "optimized", "opt":
 		return StrategyOptimized, nil
-	case "read-dominant", "readdom":
-		return StrategyReadDominant, nil
 	}
-	return 0, errors.New("core: unknown strategy " + s + " (want hint, load, optimized or read-dominant)")
-}
-
-// Weighted reports whether the strategy samples a solved distribution
-// (and therefore needs the optimizer engine and a load tracker).
-func (s QuorumStrategy) Weighted() bool {
-	return s == StrategyOptimized || s == StrategyReadDominant
+	return 0, errors.New("core: unknown strategy " + s + " (want hint, load or optimized)")
 }
 
 // GroupCommitOptions configures the coordinator's write combiner (see
@@ -164,28 +148,14 @@ type Options struct {
 	// GroupCommit configures the write combiner.
 	GroupCommit GroupCommitOptions
 	// Strategy selects how quorums are picked from a layout's candidates.
-	// Default StrategyHint.
+	// Default StrategyHint. Only NewCluster reads it, to build Engine; a
+	// coordinator picks through Engine alone.
 	Strategy QuorumStrategy
-	// Load supplies the load signal for StrategyLoadAware and the weighted
-	// strategies. Coordinators sharing a network should share one tracker
-	// (NewCluster builds one); when nil and the strategy needs it, each
-	// coordinator builds its own.
-	Load *LoadTracker
-	// Capacity returns a node's relative service capacity for the weighted
-	// strategies (only ratios matter; nil means homogeneous 1.0). A node
-	// with capacity 0.25 receives roughly a quarter of the quorum mass a
-	// full-capacity peer does.
-	Capacity coterie.LoadFunc
-	// OptimizeInterval is the recompute tick of the weighted strategies:
-	// how often the quorum distribution is re-solved against current load
-	// and read mix. Default 200ms.
-	OptimizeInterval time.Duration
-	// Engine is the weighted-strategy engine coordinators sample from.
-	// Like Load, it should be shared by every coordinator of a process
-	// (NewCluster builds one): the solved distribution is not per-item,
-	// and a private engine per coordinator multiplies the background
-	// Frank-Wolfe solves by the item count. When nil and the strategy is
-	// weighted, each coordinator builds its own.
+	// Engine is the quorum-strategy engine coordinators pick through
+	// (NewStrategyEngine); nil means the hint rotation. Every coordinator
+	// of a process should share one: the load signal and the solved
+	// distribution are not per-item, and an engine per coordinator would
+	// multiply the Frank-Wolfe solves by the item count.
 	Engine *StrategyEngine
 	// Replica configures the per-node replica behavior.
 	Replica replica.Config
@@ -204,9 +174,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CommitRetries == 0 {
 		o.CommitRetries = 3
-	}
-	if o.OptimizeInterval == 0 {
-		o.OptimizeInterval = 200 * time.Millisecond
 	}
 	if o.GroupCommit.Enabled {
 		if o.GroupCommit.MaxBatch <= 0 {

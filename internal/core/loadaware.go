@@ -8,7 +8,6 @@ import (
 
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
-	"coterie/internal/transport"
 )
 
 const (
@@ -27,10 +26,9 @@ const (
 
 // LoadTracker maintains a per-endpoint load estimate — an EWMA of the rate
 // of requests each node served, sampled from the transport's served
-// counters — for load-aware quorum selection (Options.Strategy =
-// StrategyLoadAware). One tracker is shared by every coordinator on a
-// network (NewCluster builds one; loadgen passes one through Options.Load)
-// so all of them steer around the same observed hot spots.
+// counters — for load-aware quorum selection (StrategyLoadAware) and the
+// optimized solver's load term. The process-shared StrategyEngine owns
+// one, so every coordinator steers around the same observed hot spots.
 //
 // Load reads are lock-free and allocation-free; refreshes are serialized
 // by a TryLock so a stalled sampler never blocks the operation path. A nil
@@ -59,13 +57,9 @@ type loadCell struct {
 	_    [48]byte
 }
 
-// NewLoadTracker tracks the members' load on the given network, publishing
-// the estimates through reg's core_endpoint_load_ewma gauge vector
-// (indexed by node ID).
-func NewLoadTracker(net transport.Net, members nodeset.Set, reg *obs.Registry) *LoadTracker {
-	return newLoadTracker(members, net.Served, reg)
-}
-
+// newLoadTracker tracks the members' load as read by sample (the
+// transport's Served counter), publishing the estimates through reg's
+// core_endpoint_load_ewma gauge vector (indexed by node ID).
 func newLoadTracker(members nodeset.Set, sample func(nodeset.ID) uint64, reg *obs.Registry) *LoadTracker {
 	ids := members.IDs()
 	maxID := nodeset.ID(0)

@@ -109,10 +109,10 @@ func TestLoadAwareStrategyCluster(t *testing.T) {
 
 	// The cluster built one shared tracker; force a refresh and confirm
 	// the gauge vector shows up in a snapshot with a tracked cell.
-	if c.opts.Load == nil {
+	if c.opts.Engine == nil || c.opts.Engine.load == nil {
 		t.Fatal("cluster did not build a LoadTracker for StrategyLoadAware")
 	}
-	c.opts.Load.Refresh()
+	c.opts.Engine.load.Refresh()
 	found := false
 	for _, gv := range opts.Obs.Snapshot().GaugeVecs {
 		if gv.Name == "core_endpoint_load_ewma" {

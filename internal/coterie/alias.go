@@ -105,9 +105,10 @@ func (a *Alias) Weight(i int) float64 { return a.weight[i] }
 // whose top bit is always zero, and without the remix the biased coin
 // (high 32 bits) would only ever range over half its space, doubling
 // every keep-probability. After the remix the low 32 bits choose the
-// column and the high 32 bits flip the coin.
+// column and the high 32 bits flip the coin. An empty or nil table
+// returns -1.
 func (a *Alias) Pick(u uint64) int {
-	if a.n == 0 {
+	if a == nil || a.n == 0 {
 		return -1
 	}
 	u += 0x9e3779b97f4a7c15

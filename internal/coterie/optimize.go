@@ -57,11 +57,6 @@ type OptimizeInput struct {
 	// of that EWMA too, so the blend is kept below 1.
 	Load      LoadFunc
 	LoadBlend float64 // 0 means default 0.5; only used when Load != nil
-	// ReadSizeBias adds bias·|r| to each read candidate's price in the
-	// linear oracle, skewing read mass toward small (cheap) quorums — the
-	// read-dominant mode per Kumar & Agarwal. 0 disables. The solved
-	// objective becomes peak-utilization + bias·E[|read quorum|].
-	ReadSizeBias float64
 	// Iters is the Frank-Wolfe iteration count (0 = 300). Eta is the
 	// softmax sharpness (0 = 32).
 	Iters int
@@ -92,7 +87,7 @@ const (
 
 // Optimize solves for the capacity-maximizing distribution. It returns an
 // error when either candidate block is empty or Members is empty; the
-// caller falls back to the unweighted strategies in that case.
+// caller falls back to the hint rotation in that case.
 func Optimize(in OptimizeInput) (Distribution, error) {
 	if len(in.Reads) == 0 || len(in.Writes) == 0 {
 		return Distribution{}, fmt.Errorf("coterie: optimize needs candidates (reads=%d writes=%d)", len(in.Reads), len(in.Writes))
@@ -209,7 +204,7 @@ func Optimize(in OptimizeInput) (Distribution, error) {
 		br, bw := 0, 0
 		best := math.Inf(1)
 		for k, members := range rIdx {
-			c := in.ReadSizeBias * float64(len(members))
+			var c float64
 			for _, i := range members {
 				c += fr * price[i]
 			}

@@ -127,38 +127,6 @@ func uniformPeak(in OptimizeInput) float64 {
 	return peak
 }
 
-// TestOptimizeReadSizeBias: under Majority{ReadQuorumSize:2} on 7 nodes the
-// read candidates all have size 2 — bias is a no-op. Under a ratio grid
-// (tall) vs the sampled hierarchical fallback candidates sizes vary; use
-// majority with mixed-size read candidates built by hand to check the bias
-// skews mass toward small quorums.
-func TestOptimizeReadSizeBias(t *testing.T) {
-	v := seqSet(6)
-	// Hand-built candidate mix: two small reads {0,1}, {2,3} and one large
-	// read {0,1,2,3,4,5}; writes = majorities.
-	small1 := nodeset.New(0, 1)
-	small2 := nodeset.New(2, 3)
-	large := seqSet(6)
-	lay := Compile(Majority{}, v)
-	in := OptimizeInput{
-		Reads:        []nodeset.Set{large, small1, small2},
-		Writes:       lay.EnumerateWriteQuorums(0),
-		Members:      v.IDs(),
-		ReadFrac:     0.95,
-		ReadSizeBias: 0.05,
-	}
-	d, err := Optimize(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.ReadWeights[0] > 0.2 {
-		t.Errorf("large read quorum weight %v, want < 0.2 under size bias", d.ReadWeights[0])
-	}
-	if d.ReadWeights[1]+d.ReadWeights[2] < 0.8 {
-		t.Errorf("small read quorums got %v total, want >= 0.8", d.ReadWeights[1]+d.ReadWeights[2])
-	}
-}
-
 // TestOptimizeLoadSteering: live load on one endpoint shifts mass away
 // from it even with homogeneous capacity.
 func TestOptimizeLoadSteering(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"coterie/internal/core"
 	"coterie/internal/nodeset"
 )
 
@@ -31,8 +32,8 @@ func ParseFlags(args []string) (Config, error) {
 	fs.IntVar(&cfg.ItemSize, "item-size", 256, "logical item size in bytes")
 	fs.BoolVar(&cfg.Recovering, "recovering", false, "rejoin as a recovering replica (process restart after crash)")
 	fs.DurationVar(&cfg.CallTimeout, "call-timeout", 250*time.Millisecond, "per-RPC-round timeout (also scales lock leases)")
-	fs.StringVar(&cfg.Strategy, "strategy", "hint", "quorum selection strategy: hint, load, optimized or read-dominant")
-	fs.StringVar(&capacity, "capacity", "", "relative node capacities for weighted strategies: id=weight,... (unlisted nodes are 1.0)")
+	fs.StringVar(&cfg.Strategy, "strategy", "hint", "quorum selection strategy: hint, load or optimized")
+	fs.StringVar(&capacity, "capacity", "", "relative node capacities for -strategy optimized: id=weight,... (unlisted nodes are 1.0)")
 	fs.BoolVar(&cfg.GroupCommit.Enabled, "batch", false, "enable the group-commit write combiner")
 	fs.IntVar(&cfg.GroupCommit.MaxBatch, "batch-max", 0, "max writes merged per batched round (0 = default)")
 	fs.IntVar(&cfg.GroupCommit.MaxQueue, "batch-queue", 0, "combiner queue depth (0 = default)")
@@ -61,6 +62,9 @@ func ParseFlags(args []string) (Config, error) {
 	cfg.Self = nodeset.ID(nodeID)
 	cfg.Addrs = addrs
 	cfg.Items = ItemNames(items)
+	if err := CheckCapacity(cfg.Strategy, capacity); err != nil {
+		return Config{}, err
+	}
 	if capacity != "" {
 		caps, err := ParseCapacities(capacity)
 		if err != nil {
@@ -71,8 +75,21 @@ func ParseFlags(args []string) (Config, error) {
 	return cfg, nil
 }
 
+// CheckCapacity rejects a -capacity list under any strategy but
+// optimized: only the optimized solver reads capacities, so anywhere else
+// the flag would be silently ignored.
+func CheckCapacity(strategy, capacity string) error {
+	if capacity == "" {
+		return nil
+	}
+	if s, err := core.ParseStrategy(strategy); err != nil || s != core.StrategyOptimized {
+		return fmt.Errorf("-capacity requires -strategy optimized (got -strategy %q)", strategy)
+	}
+	return nil
+}
+
 // ParseCapacities parses "0=1.0,4=0.25" into a capacity map for the
-// weighted quorum strategies. Weights must be positive; nodes not listed
+// optimized quorum strategy. Weights must be positive; nodes not listed
 // default to 1.0 at use sites.
 func ParseCapacities(s string) (map[nodeset.ID]float64, error) {
 	caps := make(map[nodeset.ID]float64)

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"strings"
 	"testing"
 
 	"coterie/internal/nodeset"
@@ -27,14 +28,33 @@ func TestParseFlagsCapacityAndStrategy(t *testing.T) {
 	}
 
 	if _, err := ParseFlags([]string{
-		"-cluster", "0=127.0.0.1:7000", "-capacity", "0=-3",
+		"-cluster", "0=127.0.0.1:7000", "-strategy", "optimized", "-capacity", "0=-3",
 	}); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 	if _, err := ParseFlags([]string{
-		"-cluster", "0=127.0.0.1:7000", "-capacity", "x=1",
+		"-cluster", "0=127.0.0.1:7000", "-strategy", "optimized", "-capacity", "x=1",
 	}); err == nil {
 		t.Fatal("non-numeric node ID accepted")
+	}
+}
+
+// TestParseFlagsCapacityNeedsOptimized: only the optimized solver reads
+// capacities, so -capacity under any other strategy is a flag error, not
+// a silently ignored setting.
+func TestParseFlagsCapacityNeedsOptimized(t *testing.T) {
+	for _, strategy := range []string{"", "hint", "load", "bogus"} {
+		args := []string{"-cluster", "0=127.0.0.1:7000", "-capacity", "0=0.5"}
+		if strategy != "" {
+			args = append(args, "-strategy", strategy)
+		}
+		if _, err := ParseFlags(args); err == nil || !strings.Contains(err.Error(), "-strategy optimized") {
+			t.Errorf("-capacity with -strategy %q: err = %v, want a -strategy optimized error", strategy, err)
+		}
+	}
+	cfg, err := ParseFlags([]string{"-cluster", "0=127.0.0.1:7000", "-strategy", "opt", "-capacity", "0=0.5"})
+	if err != nil || cfg.Capacities[0] != 0.5 {
+		t.Fatalf("-capacity with -strategy opt: cfg.Capacities = %v, err = %v", cfg.Capacities, err)
 	}
 }
 
@@ -58,16 +78,25 @@ func TestCapacitiesRoundTrip(t *testing.T) {
 }
 
 // TestDaemonRejectsUnknownStrategy: Start must fail fast on a strategy
-// ParseStrategy does not know.
+// ParseStrategy does not know — including both names of the retired
+// read-skewed mode — with an error naming the valid ones.
 func TestDaemonRejectsUnknownStrategy(t *testing.T) {
 	book := freeAddrs(t, 1)
-	_, err := Start(Config{
-		Self:     0,
-		Addrs:    book,
-		Items:    ItemNames(1),
-		Strategy: "bogus",
-	})
-	if err == nil {
-		t.Fatal("Start accepted strategy \"bogus\"")
+	for _, strategy := range []string{"bogus", "read-dominant", "readdom"} {
+		d, err := Start(Config{
+			Self:     0,
+			Addrs:    book,
+			Items:    ItemNames(1),
+			Strategy: strategy,
+		})
+		if err == nil {
+			d.Close()
+			t.Fatalf("Start accepted strategy %q", strategy)
+		}
+		for _, valid := range []string{"hint", "load", "optimized"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("strategy %q: error %q does not name %q", strategy, err, valid)
+			}
+		}
 	}
 }

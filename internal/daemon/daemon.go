@@ -60,7 +60,6 @@ import (
 
 	"coterie/internal/capi"
 	"coterie/internal/core"
-	"coterie/internal/coterie"
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 	"coterie/internal/obs/expose"
@@ -90,10 +89,10 @@ type Config struct {
 	// (4x) as in the in-process harness.
 	CallTimeout time.Duration
 	// Strategy is the quorum selection strategy: "hint" (default),
-	// "load", "optimized" or "read-dominant" (see core.ParseStrategy).
+	// "load" or "optimized" (see core.ParseStrategy).
 	Strategy string
 	// Capacities assigns relative service capacities to nodes for the
-	// weighted strategies (missing nodes default to 1.0). Nil means a
+	// optimized strategy (missing nodes default to 1.0). Nil means a
 	// homogeneous cluster. All daemons of one deployment should agree so
 	// their solved distributions match.
 	Capacities map[nodeset.ID]float64
@@ -219,6 +218,11 @@ func Start(cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("daemon: no address for self (node %d)", cfg.Self)
 	}
 
+	strategy, err := core.ParseStrategy(cfg.Strategy)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: %w", err)
+	}
+
 	reg := obs.Nop
 	if cfg.Obs {
 		reg = obs.New()
@@ -233,46 +237,21 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 	tnet := tcpnet.New(cfg.Addrs, topts...)
 
-	strategy, err := core.ParseStrategy(cfg.Strategy)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: %w", err)
-	}
-	var tracker *core.LoadTracker
-	if strategy != core.StrategyHint {
-		// One tracker for every coordinator this process hosts, so all of
-		// them steer by the same observed per-endpoint load.
-		tracker = core.NewLoadTracker(tnet, cfg.Members, reg)
-	}
-	var capacity coterie.LoadFunc
-	if len(cfg.Capacities) > 0 {
-		caps := cfg.Capacities
-		capacity = func(id nodeset.ID) float64 {
-			if c, ok := caps[id]; ok {
-				return c
-			}
-			return 1
-		}
-	}
-
 	rcfg := replica.Config{LockLease: 4 * cfg.CallTimeout, Obs: reg, PropagationBatch: cfg.BatchProp}
 	node := replica.NewNode(cfg.Self, tnet, rcfg)
 	copts := core.Options{
 		CallTimeout: cfg.CallTimeout,
 		Replica:     rcfg,
 		Obs:         reg,
-		Strategy:    strategy,
-		Load:        tracker,
-		Capacity:    capacity,
+		// One engine for every coordinator this process hosts: they steer
+		// by the same observed load, and the solves must not multiply with
+		// the item count.
+		Engine:      core.NewStrategyEngine(strategy, tnet, cfg.Members, cfg.Capacities, reg),
 		GroupCommit: cfg.GroupCommit,
 		// The TCP transport sends one-way frames; write-through committed
 		// updates to bystander replicas so speculative prepares keep
 		// hitting regardless of quorum rotation.
 		PushUpdates: true,
-	}
-	if strategy.Weighted() {
-		// One engine per process: the background solves must not multiply
-		// with the item count this daemon hosts.
-		copts.Engine = core.NewStrategyEngine(cfg.Members, tracker, copts)
 	}
 	d := &Daemon{Net: tnet, Reg: reg, node: node, cfg: cfg, copts: copts,
 		coords: make(map[string]*core.Coordinator, len(cfg.Items))}

@@ -16,13 +16,13 @@
 //     10ms) late, declared at capacity 0.1 — the tail-injection scenario.
 //     Gate: optimized >= 1.15x load-aware ops/sec at equal-or-better
 //     read p99.
-//   - read95: 95/5 mix with the same degraded member — the regime the
-//     read-dominant mode exists for. Gate: read-dominant read p99 <= 0.8x
-//     load-aware's.
+//   - read95: 95/5 mix with the same degraded member — the read-heavy
+//     regime where read tail latency dominates. Gate: optimized read p99
+//     <= 0.8x load-aware's.
 //
 // The availability half reuses the paper's Table 1 parameters (lambda=1,
 // mu=19, p=0.95): predicted numbers come from the exact site-model
-// enumeration per rule x strategy (including the weighted strategies'
+// enumeration per rule x strategy (including the optimized strategy's
 // candidate-restricted availability, i.e. how much the solved
 // distribution serves without falling back), measured numbers from
 // internal/sim runs with strategy tracking on.
@@ -49,12 +49,12 @@ import (
 	"coterie/internal/sim"
 )
 
-var strategies = []string{"hint", "load", "optimized", "read-dominant"}
+var strategies = []string{"hint", "load", "optimized"}
 
 type scenario struct {
 	Name string
 	Args []string // scenario-specific loadgen args
-	Slow bool     // degraded member: pass -slow-node/-slow-read/-capacity
+	Slow bool     // degraded member: pass -slow-node/-slow-read (and -capacity to optimized)
 }
 
 // runResult is one loadgen cell (best of trials).
@@ -124,7 +124,12 @@ func runOnce(sc scenario, strategy string, d, slow time.Duration) (loadgenOut, e
 	}
 	args = append(args, sc.Args...)
 	if sc.Slow {
-		args = append(args, "-slow-node", "4", "-slow-read", slow.String(), "-capacity", "4=0.1")
+		args = append(args, "-slow-node", "4", "-slow-read", slow.String())
+		if strategy == "optimized" {
+			// Only the optimized solver reads capacities; loadgen rejects
+			// -capacity under any other strategy.
+			args = append(args, "-capacity", "4=0.1")
+		}
 	}
 	cmd := exec.Command("go", args...)
 	cmd.Env = append(os.Environ(), "GOMAXPROCS=4")
@@ -210,7 +215,7 @@ func main() {
 		// Only the cells the gates compare, and only the strategies that
 		// appear in them; the full matrix stays a `make bench-quorum` job.
 		scenarios = scenarios[2:]
-		strategies = []string{"load", "optimized", "read-dominant"}
+		strategies = []string{"load", "optimized"}
 		*trials, *horizon, *out = 2, 2000, ""
 	}
 
@@ -222,9 +227,9 @@ func main() {
 		SlowDelay:  slow.String(),
 		Note: "ops_per_sec is best-of-trials closed-loop throughput at GOMAXPROCS=4; p99 comes from the best trial. " +
 			"Gates: slow scenario optimized >= 1.15x load ops/sec at <= load read p99; " +
-			"read95 scenario read-dominant read p99 <= 0.8x load. " +
+			"read95 scenario optimized read p99 <= 0.8x load. " +
 			"Availability: site-model prediction vs discrete-event measurement at lambda=1 mu=19 (p=0.95); " +
-			"candidate numbers are the weighted strategies' no-fallback (distribution-only) availability.",
+			"candidate numbers are the optimized strategy's no-fallback (distribution-only) availability.",
 	}
 	for _, sc := range scenarios {
 		rep.Scenarios = append(rep.Scenarios, sc.Name)
@@ -268,11 +273,11 @@ func main() {
 	g.Pass = g.Ratio >= g.Threshold && slowOpt.ReadP99us <= slowLoad.ReadP99us
 	rep.Gates = append(rep.Gates, g)
 
-	rdDom, rdLoad := best[[2]string{"read95", "read-dominant"}], best[[2]string{"read95", "load"}]
+	rdOpt, rdLoad := best[[2]string{"read95", "optimized"}], best[[2]string{"read95", "load"}]
 	g = gate{
-		Name: "read-dominant-tail", Scenario: "read95",
-		Ratio: ratio(float64(rdDom.ReadP99us), float64(rdLoad.ReadP99us)), Threshold: 0.8,
-		Description: "read-dominant read p99 over load-aware's on the 95/5 mix (lower is better)",
+		Name: "optimized-read-tail", Scenario: "read95",
+		Ratio: ratio(float64(rdOpt.ReadP99us), float64(rdLoad.ReadP99us)), Threshold: 0.8,
+		Description: "optimized read p99 over load-aware's on the 95/5 mix (lower is better)",
 	}
 	g.Pass = g.Ratio > 0 && g.Ratio <= g.Threshold
 	rep.Gates = append(rep.Gates, g)
