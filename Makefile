@@ -22,11 +22,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # bench-loadgen is a short closed-loop data-plane smoke run (see README
-# "Load generator"): it proves cmd/loadgen builds and completes a mixed
-# read/partial-write run, not a measurement. Full methodology in
-# BENCH_2.json.
+# "Load generator"): it proves cmd/loadgen completes a mixed
+# read/partial-write run on both data planes, not a measurement — the
+# in-process sim, then three spawned daemons over TCP under SIGKILL churn,
+# which fails on any one-copy serializability violation. Full methodology
+# in BENCH_2.json.
 bench-loadgen:
 	$(GO) run ./cmd/loadgen -duration 1s -items 8 -workers 4 -disjoint
+	$(GO) run ./cmd/loadgen -net tcp -nodes 3 -items 2 -workers 4 -duration 2s -churn 500ms
 
 # bench produces benchstat-comparable numbers for the tracked hot paths
 # (see README "Benchmarks" for methodology).
@@ -109,7 +112,7 @@ check-admin:
 profile-net:
 	$(GO) build -o /tmp/coterie-loadgen ./cmd/loadgen
 	/tmp/coterie-loadgen -duration 18s -nodes 3 -items 8 -workers 8 -disjoint \
-		-read-frac 0.5 -net tcp -pipeline=true -pprof 6161 >/dev/null & \
+		-read-frac 0.5 -net tcp -pprof 6161 >/dev/null & \
 	sleep 3 && $(GO) tool pprof -top -nodecount 25 \
 		-seconds 10 http://127.0.0.1:6161/debug/pprof/profile; wait
 

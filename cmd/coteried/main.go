@@ -1,10 +1,14 @@
 // Command coteried hosts one coterie replica node as a network daemon:
-// the replica protocol, a co-located coordinator per item, and the capi
-// client API, all served by the tcpnet transport. A cluster is N coteried
-// processes sharing one address book; any of them accepts client reads,
-// writes and epoch checks for any item.
+// the replica protocol, co-located coordinators for the items it
+// replicates, and the capi client API, all served by the tcpnet
+// transport. A cluster is N coteried processes sharing one address book;
+// each daemon accepts client reads, writes and epoch checks for the items
+// of the shards it owns, and items materialize on first touch. The
+// default is one shard replicated by -rf nodes (default 3), so a
+// three-node cluster is one coterie in which any daemon serves any item;
+// -shards S partitions the keyspace into S coteries.
 //
-//	coteried -node 0 -cluster 0=127.0.0.1:7000,1=127.0.0.1:7001,2=127.0.0.1:7002 -items 4
+//	coteried -node 0 -cluster 0=127.0.0.1:7000,1=127.0.0.1:7001,2=127.0.0.1:7002
 //
 // On startup the daemon prints "READY <node> <addr>" to stdout once it is
 // serving; spawning harnesses (cmd/loadgen -net tcp, scripts/benchnet)

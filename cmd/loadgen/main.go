@@ -1,44 +1,48 @@
 // Command loadgen is a throughput harness for the dynamic structured
-// coterie protocol's data plane. It builds an in-process cluster of N
-// nodes replicating M independent data items, then drives K worker
-// goroutines that each repeatedly pick an item and a coordinator and
-// execute a read or a partial write. By default the loop is closed (each
-// worker waits for its operation before issuing the next, so offered load
-// tracks service rate and aggregate ops/sec measures the data plane
-// itself, not a queue); -rate R switches to an open loop where the
-// workers collectively issue R operations per second on a fixed schedule
-// and latency is measured from each operation's scheduled arrival, so
-// backlog shows up in the tail percentiles.
+// coterie protocol's data plane. It drives K worker goroutines that each
+// repeatedly pick an item and execute a read or a partial write against a
+// cluster of N nodes, over one of two data planes (-net):
+//
+//   - sim (default): an in-process cluster over the simulated network;
+//     every node replicates every item and hosts a coordinator per item,
+//     and each operation goes to a randomly drawn coordinator.
+//   - tcp: one coteried daemon process per node (this binary's coteried
+//     subcommand) driven over loopback through the smart capi client; see
+//     net.go.
+//
+// Both planes share one worker loop, one churn loop and one report. Items
+// are picked pinned per worker (-disjoint), Zipfian (-zipf-items) or
+// uniformly, and -sweep interleaves a deterministic walk so every item is
+// touched at least once. By default the loop is closed (each worker waits
+// for its operation before issuing the next, so offered load tracks
+// service rate and aggregate ops/sec measures the data plane itself, not
+// a queue); -rate R switches to an open loop where the workers
+// collectively issue R operations per second on a fixed schedule and
+// latency is measured from each operation's scheduled arrival, so backlog
+// shows up in the tail percentiles.
 //
 // The group-commit pipeline is driven by -batch (with -batch-max and
-// -batch-queue sizing the combiner), and merges best when -affinity
-// routes all writes for an item through one coordinator. -strategy
-// selects quorum picking: "hint" rotates pseudo-randomly, "load" steers
-// toward the least-loaded endpoints via a shared EWMA load tracker, and
-// "optimized" samples a solved capacity-weighted quorum distribution
-// (node capacities from -capacity).
-// -batch-prop batches stale propagation per target node.
+// -batch-queue sizing the combiner); in the sim plane it merges best when
+// -affinity routes all writes for an item through one coordinator (the
+// capi client already does so on tcp). -strategy selects quorum picking:
+// "hint" rotates pseudo-randomly, "load" steers toward the least-loaded
+// endpoints via a shared EWMA load tracker, and "optimized" samples a
+// solved capacity-weighted quorum distribution (node capacities from
+// -capacity). -batch-prop batches stale propagation per target node.
 //
-// The multi-item, multi-coordinator shape is the contention profile the
-// protocol promises to serve well: operations on different items share
-// the transport, the per-node replica tables and the history recorder,
-// but no protocol-level locks. Before the data-plane work in this change,
-// those shared structures serialized independent operations behind
-// global mutexes; loadgen exists to measure exactly that.
-//
-// Observability (-obs, on by default) attaches the obs registry and a
-// flight recorder to every layer; -metrics ADDR additionally serves the
-// live registry over HTTP (Prometheus text at /, ?format=json,
-// ?format=traces). -latency injects per-call network delay and -churn
-// crashes/restarts nodes with epoch checks in between, which surfaces the
-// paper's failure-path metrics: epoch redirects, stale marks and the
-// staleness-duration histogram. A human-readable summary and one sample
-// flight trace go to stderr; stdout stays one pure JSON object (see
-// result), suitable for collecting into BENCH_2.json / BENCH_3.json.
-// Typical use:
+// Observability (-obs, on by default) attaches the obs registry to every
+// layer (and, in the sim plane, a flight recorder); -metrics ADDR
+// additionally serves the live registry over HTTP (Prometheus text at /,
+// ?format=json, ?format=traces). -latency injects per-call network delay
+// (sim only) and -churn crashes/restarts nodes with epoch checks in
+// between, which surfaces the paper's failure-path metrics: epoch
+// redirects, stale marks and the staleness-duration histogram. A
+// human-readable summary goes to stderr; stdout stays one pure JSON object
+// (see result). Typical use:
 //
 //	go run ./cmd/loadgen -nodes 9 -items 8 -workers 8 -duration 3s
 //	go run ./cmd/loadgen -latency 200us -churn 300ms -metrics :9090
+//	go run ./cmd/loadgen -net tcp -nodes 3 -items 2 -workers 4 -churn 800ms
 //	GOMAXPROCS=4 go run ./cmd/loadgen -read-frac 0.8 -obs=false
 package main
 
@@ -48,24 +52,25 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"coterie/internal/capi"
 	"coterie/internal/core"
 	"coterie/internal/daemon"
-	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 	"coterie/internal/obs/expose"
 	"coterie/internal/replica"
-	"coterie/internal/transport"
 	"coterie/internal/workload"
 )
 
@@ -81,6 +86,10 @@ type config struct {
 	timeout     time.Duration
 	callTimeout time.Duration
 	disjoint    bool
+	zipfItems   bool
+	zipfTheta   float64
+	sweep       bool
+	rate        float64
 	obsOn       bool
 	metricsAddr string
 	latency     time.Duration
@@ -91,29 +100,21 @@ type config struct {
 	batchQueue  int
 	strategy    string
 	capacity    string
-	zipfItems   bool
-	rate        float64
 	affinity    bool
 	batchProp   bool
-	netMode     string
-	pipeline    bool
-	pool        int
-	pprofPort   int
-	compare     string
-	adminOn     bool
-	traceSample int
-
-	// Sharded mode (-shards > 0): the keyspace is hashed across many
-	// coteries and driven through the smart capi client instead of the
-	// fixed item list.
-	shards      int
-	rf          int
-	keyspace    int
-	zipfTheta   float64
-	hedge       bool
 	slowNode    int
 	slowRead    time.Duration
-	sweep       bool
+	pprofPort   int
+	compare     string
+	netMode     string
+
+	// TCP plane only.
+	pool        int
+	adminOn     bool
+	traceSample int
+	shards      int
+	rf          int
+	hedge       bool
 	checkStride int
 	maxCoords   int
 }
@@ -144,6 +145,7 @@ func (o *outcomes) add(err error) {
 
 // result is the JSON report. Latencies are microseconds.
 type result struct {
+	Net           string           `json:"net"`
 	Nodes         int              `json:"nodes"`
 	Items         int              `json:"items"`
 	Workers       int              `json:"workers"`
@@ -156,11 +158,13 @@ type result struct {
 	Strategy      string           `json:"strategy"`
 	Capacity      string           `json:"capacity,omitempty"`
 	ZipfItems     bool             `json:"zipf_items,omitempty"`
+	ZipfTheta     float64          `json:"zipf_theta,omitempty"`
 	Affinity      bool             `json:"affinity"`
 	BatchProp     bool             `json:"batch_prop"`
 	RateTarget    float64          `json:"rate_target,omitempty"`
 	LatencyUs     int64            `json:"latency_us"`
 	ChurnMs       int64            `json:"churn_ms"`
+	SlowRead      string           `json:"slow_read,omitempty"`
 	ElapsedSec    float64          `json:"elapsed_sec"`
 	Ops           int              `json:"ops"`
 	Reads         int              `json:"reads"`
@@ -176,6 +180,7 @@ type result struct {
 	WriteP999us   int64            `json:"write_p999_us"`
 	ReadOutcomes  outcomes         `json:"read_outcomes"`
 	WriteOutcomes outcomes         `json:"write_outcomes"`
+	DistinctKeys  int              `json:"distinct_keys"`
 	Metrics       map[string]int64 `json:"metrics,omitempty"`
 
 	// StrategyOutcomes keys the run's read/write dispositions by the
@@ -183,30 +188,20 @@ type result struct {
 	// different strategies without re-deriving which run was which.
 	StrategyOutcomes map[string]opOutcomes `json:"strategy_outcomes,omitempty"`
 
-	// Net-mode extras: which data plane ran, whether the TCP transport
-	// pipelined, and the one-copy serializability verdict (nil = history
-	// checking did not run, as in sim mode).
-	Net               string `json:"net,omitempty"`
-	Pipeline          *bool  `json:"pipeline,omitempty"`
-	OneCopyViolations *int   `json:"onecopy_violations,omitempty"`
-
-	// Sharded-mode extras: the placement geometry, how much of the
-	// keyspace the run actually touched (distinct keys) and history-checked
-	// (checked keys), per-shard operation counts, and the smart client's
-	// retry/hedge counters.
-	Shards       int               `json:"shards,omitempty"`
-	RF           int               `json:"rf,omitempty"`
-	Keyspace     int               `json:"keyspace,omitempty"`
-	ZipfTheta    float64           `json:"zipf_theta,omitempty"`
-	Hedge        *bool             `json:"hedge,omitempty"`
-	SlowRead     string            `json:"slow_read,omitempty"`
-	DistinctKeys int               `json:"distinct_keys,omitempty"`
-	CheckedKeys  int               `json:"checked_keys,omitempty"`
-	PerShardOps  []int64           `json:"per_shard_ops,omitempty"`
-	Client       *capi.ClientStats `json:"client,omitempty"`
+	// TCP-plane extras: the one-copy serializability verdict and how many
+	// items it checked (nil/0 in the sim plane, which records no history),
+	// the placement geometry, per-shard operation counts, and the smart
+	// client's retry/hedge counters.
+	OneCopyViolations *int              `json:"onecopy_violations,omitempty"`
+	CheckedKeys       int               `json:"checked_keys,omitempty"`
+	Shards            int               `json:"shards,omitempty"`
+	RF                int               `json:"rf,omitempty"`
+	Hedge             *bool             `json:"hedge,omitempty"`
+	PerShardOps       []int64           `json:"per_shard_ops,omitempty"`
+	Client            *capi.ClientStats `json:"client,omitempty"`
 
 	// Cluster-merged counters scraped from every daemon's admin endpoint
-	// after the run (tcp modes with -admin): the server-side totals the
+	// after the run (tcp plane with -admin): the server-side totals the
 	// client-side Metrics map cannot see.
 	ClusterMetrics map[string]int64 `json:"cluster_metrics,omitempty"`
 }
@@ -220,6 +215,29 @@ type workerStats struct {
 	readLat, writeLat   []time.Duration
 }
 
+// plane is one data plane behind the shared worker and churn loops: the
+// in-process simulator (simPlane) or spawned daemons over TCP (tcpPlane).
+// Items and nodes are indices: item in [0, items), node in [0, nodes).
+type plane interface {
+	// read and write run one client operation on item, bounded by the
+	// operation timeout. node is the worker's coordinator draw, which only
+	// the sim plane uses (the capi client routes by item). A write's error
+	// wraps core.ErrConflict exactly when it cleanly aborted.
+	read(ctx context.Context, item, node int) error
+	write(ctx context.Context, item, node int, u replica.Update) error
+	// checkEpoch runs one epoch check on item coordinated by node.
+	checkEpoch(ctx context.Context, item, node int)
+	// crash takes node down; restart brings it back as a recovering
+	// replica.
+	crash(node int)
+	restart(node int) error
+	// finish adds the plane's own report fields once the workers are done
+	// and returns an error if the run failed its checks; close releases
+	// the plane.
+	finish(res *result) error
+	close()
+}
+
 func main() {
 	// Self-spawn: `loadgen coteried <flags>` runs one daemon, so -net tcp
 	// needs no separately built binary on the machine it runs on.
@@ -230,86 +248,124 @@ func main() {
 		}
 		return
 	}
-	var cfg config
-	flag.IntVar(&cfg.nodes, "nodes", 9, "replica nodes per item")
-	flag.IntVar(&cfg.items, "items", 8, "independent data items")
-	flag.IntVar(&cfg.workers, "workers", 8, "closed-loop client goroutines")
-	flag.Float64Var(&cfg.readFrac, "read-frac", 0.5, "fraction of operations that are reads")
-	flag.DurationVar(&cfg.duration, "duration", 3*time.Second, "measurement interval")
-	flag.IntVar(&cfg.itemSize, "item-size", 256, "logical item size in bytes")
-	flag.IntVar(&cfg.writeLen, "write-len", 16, "max partial-write length in bytes")
-	flag.Int64Var(&cfg.seed, "seed", 1, "PRNG seed")
-	flag.DurationVar(&cfg.timeout, "op-timeout", 5*time.Second, "per-operation timeout")
-	flag.DurationVar(&cfg.callTimeout, "call-timeout", 250*time.Millisecond, "per-RPC-round timeout (also scales lock leases)")
-	flag.BoolVar(&cfg.disjoint, "disjoint", false, "pin worker w to item w%items: no protocol-level lock conflicts, isolating shared-structure contention")
-	flag.BoolVar(&cfg.obsOn, "obs", true, "attach the observability registry and flight recorder")
-	flag.StringVar(&cfg.metricsAddr, "metrics", "", "serve live metrics over HTTP on this address (e.g. :9090); requires -obs")
-	flag.DurationVar(&cfg.latency, "latency", 0, "mean injected per-call network latency (0 = none)")
-	flag.DurationVar(&cfg.churn, "churn", 0, "crash/restart a node with epoch checks at this cadence (0 = none)")
-	flag.IntVar(&cfg.traceCap, "trace-cap", 256, "flight recorder ring capacity")
-	flag.BoolVar(&cfg.batch, "batch", false, "enable the group-commit write combiner")
-	flag.IntVar(&cfg.batchMax, "batch-max", 0, "max writes merged per batched protocol round (0 = core default)")
-	flag.IntVar(&cfg.batchQueue, "batch-queue", 0, "combiner queue depth before writers overflow to the single-write path (0 = core default)")
-	flag.StringVar(&cfg.strategy, "strategy", "hint", "quorum selection strategy: hint (pseudo-random rotation), load (least-loaded via EWMA) or optimized (capacity-weighted quorum distribution)")
-	flag.StringVar(&cfg.capacity, "capacity", "", "relative node capacities for -strategy optimized: id=weight,... (unlisted nodes are 1.0)")
-	flag.BoolVar(&cfg.zipfItems, "zipf-items", false, "pick items with Zipf(-zipf theta) popularity instead of uniformly (fixed-item modes; ignored with -disjoint)")
-	flag.Float64Var(&cfg.rate, "rate", 0, "open-loop arrival rate in ops/sec across all workers (0 = closed loop)")
-	flag.BoolVar(&cfg.affinity, "affinity", false, "route all writes for an item through one coordinator so group commit can merge them")
-	flag.BoolVar(&cfg.batchProp, "batch-prop", false, "batch stale propagation per target node")
-	flag.StringVar(&cfg.netMode, "net", "sim", "data plane: sim (in-process simulated network) or tcp (spawn coteried daemons and drive them over loopback)")
-	flag.BoolVar(&cfg.pipeline, "pipeline", true, "tcp mode: multiplex calls over persistent connections (false = dial per call)")
-	flag.IntVar(&cfg.pool, "pool", 0, "tcp mode: pipelined connections per peer (0 = transport default)")
-	flag.IntVar(&cfg.pprofPort, "pprof", 0, "serve net/http/pprof on 127.0.0.1:PORT (tcp mode: daemon i serves on PORT+1+i)")
-	flag.StringVar(&cfg.compare, "compare", "", "JSON result of a previous run to report the per-transport latency gap against (e.g. a -net sim result while running -net tcp)")
-	flag.BoolVar(&cfg.adminOn, "admin", true, "tcp mode: give each spawned daemon an admin plane (/metrics /traces /healthz), use /healthz for readiness, and print a cluster-merged summary after the run")
-	flag.IntVar(&cfg.traceSample, "trace-sample", 0, "sharded mode: sample 1 in N client operations into a cross-node distributed trace (0 = off, 1 = every op)")
-	flag.IntVar(&cfg.shards, "shards", 0, "shard the keyspace across this many coteries and drive it through the smart client (requires -net tcp; 0 = fixed -items list)")
-	flag.IntVar(&cfg.rf, "rf", 0, "replicas per shard in sharded mode (0 = daemon default)")
-	flag.IntVar(&cfg.keyspace, "keyspace", 0, "distinct keys in sharded mode (0 = 1,000,000)")
-	flag.Float64Var(&cfg.zipfTheta, "zipf", workload.DefaultZipfTheta, "Zipfian skew theta in (0,1) for sharded-mode key popularity")
-	flag.BoolVar(&cfg.hedge, "hedge", false, "sharded mode: hedge reads to an alternate shard member after a p99-derived delay")
-	flag.IntVar(&cfg.slowNode, "slow-node", -1, "node ID to slow down with -slow-read (-1 = none)")
-	flag.DurationVar(&cfg.slowRead, "slow-read", 0, "injected service delay on the -slow-node node (sim mode: every message it serves; tcp/sharded: every client read)")
-	flag.BoolVar(&cfg.sweep, "sweep", false, "sharded mode: interleave a full deterministic sweep of the keyspace so every key is touched at least once (runs past -duration if needed)")
-	flag.IntVar(&cfg.checkStride, "check-stride", 1, "sharded mode: record one-copy history for every key-th key plus the hottest 1024 (1 = all keys; larger strides bound checker memory on million-key runs)")
-	flag.IntVar(&cfg.maxCoords, "max-coords", 0, "sharded mode: live coordinator cap per daemon (0 = daemon default)")
-	flag.Parse()
-	if err := run(cfg); err != nil {
+	cfg, err := parseFlags(os.Args[1:])
+	if err != nil {
+		os.Exit(2) // the flag set already reported it
+	}
+	res, err := run(cfg)
+	if res != nil {
+		if encErr := json.NewEncoder(os.Stdout).Encode(res); encErr != nil && err == nil {
+			err = encErr
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg config) error {
+// parseFlags parses a loadgen command line into a config.
+func parseFlags(args []string) (config, error) {
+	var cfg config
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.IntVar(&cfg.nodes, "nodes", 9, "replica nodes")
+	fs.IntVar(&cfg.items, "items", 8, "distinct data items (keys)")
+	fs.IntVar(&cfg.workers, "workers", 8, "closed-loop client goroutines")
+	fs.Float64Var(&cfg.readFrac, "read-frac", 0.5, "fraction of operations that are reads")
+	fs.DurationVar(&cfg.duration, "duration", 3*time.Second, "measurement interval")
+	fs.IntVar(&cfg.itemSize, "item-size", 256, "logical item size in bytes")
+	fs.IntVar(&cfg.writeLen, "write-len", 16, "max partial-write length in bytes")
+	fs.Int64Var(&cfg.seed, "seed", 1, "PRNG seed")
+	fs.DurationVar(&cfg.timeout, "op-timeout", 5*time.Second, "per-operation timeout")
+	fs.DurationVar(&cfg.callTimeout, "call-timeout", 250*time.Millisecond, "per-RPC-round timeout (also scales lock leases)")
+	fs.BoolVar(&cfg.disjoint, "disjoint", false, "pin worker w to item w%items: no protocol-level lock conflicts, isolating shared-structure contention")
+	fs.BoolVar(&cfg.zipfItems, "zipf-items", false, "pick items with Zipf(-zipf theta) popularity instead of uniformly (ignored with -disjoint)")
+	fs.Float64Var(&cfg.zipfTheta, "zipf", workload.DefaultZipfTheta, "Zipfian skew theta in (0,1) for -zipf-items")
+	fs.BoolVar(&cfg.sweep, "sweep", false, "interleave a full deterministic sweep of the items so every item is touched at least once (runs past -duration if needed)")
+	fs.Float64Var(&cfg.rate, "rate", 0, "open-loop arrival rate in ops/sec across all workers (0 = closed loop)")
+	fs.BoolVar(&cfg.obsOn, "obs", true, "attach the observability registry (and, in the sim plane, the flight recorder)")
+	fs.StringVar(&cfg.metricsAddr, "metrics", "", "serve live metrics over HTTP on this address (e.g. :9090); requires -obs")
+	fs.DurationVar(&cfg.latency, "latency", 0, "sim plane: mean injected per-call network latency (0 = none)")
+	fs.DurationVar(&cfg.churn, "churn", 0, "crash/restart a node with epoch checks at this cadence (0 = none)")
+	fs.IntVar(&cfg.traceCap, "trace-cap", 256, "flight recorder ring capacity")
+	fs.BoolVar(&cfg.batch, "batch", false, "enable the group-commit write combiner")
+	fs.IntVar(&cfg.batchMax, "batch-max", 0, "max writes merged per batched protocol round (0 = core default)")
+	fs.IntVar(&cfg.batchQueue, "batch-queue", 0, "combiner queue depth before writers overflow to the single-write path (0 = core default)")
+	fs.StringVar(&cfg.strategy, "strategy", "hint", "quorum selection strategy: hint (pseudo-random rotation), load (least-loaded via EWMA) or optimized (capacity-weighted quorum distribution)")
+	fs.StringVar(&cfg.capacity, "capacity", "", "relative node capacities for -strategy optimized: id=weight,... (unlisted nodes are 1.0)")
+	fs.BoolVar(&cfg.affinity, "affinity", false, "sim plane: route all writes for an item through one coordinator so group commit can merge them")
+	fs.BoolVar(&cfg.batchProp, "batch-prop", false, "batch stale propagation per target node")
+	fs.IntVar(&cfg.slowNode, "slow-node", -1, "node ID to slow down with -slow-read (-1 = none)")
+	fs.DurationVar(&cfg.slowRead, "slow-read", 0, "injected service delay on the -slow-node node (sim: every message it serves; tcp: every client read)")
+	fs.IntVar(&cfg.pprofPort, "pprof", 0, "serve net/http/pprof on 127.0.0.1:PORT (tcp plane: daemon i serves on PORT+1+i)")
+	fs.StringVar(&cfg.compare, "compare", "", "JSON result of a previous run to report the per-transport latency gap against (e.g. a -net sim result while running -net tcp)")
+	fs.StringVar(&cfg.netMode, "net", "sim", "data plane: sim (in-process simulated network) or tcp (spawn coteried daemons and drive them over loopback)")
+	fs.IntVar(&cfg.pool, "pool", 0, "tcp plane: pipelined connections per peer (0 = transport default)")
+	fs.BoolVar(&cfg.adminOn, "admin", true, "tcp plane: give each spawned daemon an admin plane (/metrics /traces /healthz), use /healthz for readiness, and print a cluster-merged summary after the run")
+	fs.IntVar(&cfg.traceSample, "trace-sample", 0, "tcp plane: sample 1 in N client operations into a cross-node distributed trace (0 = off, 1 = every op)")
+	fs.IntVar(&cfg.shards, "shards", 1, "tcp plane: partition the items across this many coteries")
+	fs.IntVar(&cfg.rf, "rf", 0, "tcp plane: replicas per shard (0 = every node)")
+	fs.BoolVar(&cfg.hedge, "hedge", false, "tcp plane: hedge reads to an alternate shard member after a p99-derived delay")
+	fs.IntVar(&cfg.checkStride, "check-stride", 1, "tcp plane: record one-copy history for every N-th item plus the hottest 1024 (1 = all items; larger strides bound checker memory on million-item runs)")
+	fs.IntVar(&cfg.maxCoords, "max-coords", 0, "tcp plane: live coordinator cap per daemon (0 = daemon default)")
+	err := fs.Parse(args)
+	return cfg, err
+}
+
+// check rejects flag combinations a plane cannot honor instead of
+// silently ignoring them.
+func (cfg config) check() error {
 	if cfg.nodes <= 0 || cfg.items <= 0 || cfg.workers <= 0 {
 		return fmt.Errorf("nodes, items and workers must be positive")
 	}
 	if err := daemon.CheckCapacity(cfg.strategy, cfg.capacity); err != nil {
 		return err
 	}
-	if cfg.shards > 0 {
-		return runShard(cfg)
-	}
 	switch cfg.netMode {
 	case "sim":
+		if cfg.shards != 1 || cfg.rf != 0 {
+			return fmt.Errorf("-shards and -rf need -net tcp (the sim plane is one coterie over every node)")
+		}
 	case "tcp":
-		return runTCP(cfg)
+		if cfg.latency > 0 {
+			return fmt.Errorf("-latency is simulation-only (real TCP has real latency)")
+		}
+		if cfg.affinity {
+			return fmt.Errorf("-affinity is simulation-only (the capi client already routes writes by item affinity)")
+		}
+		if cfg.shards <= 0 {
+			return fmt.Errorf("-shards must be positive")
+		}
+		if cfg.churn > 0 && (cfg.shards > 1 || (cfg.rf > 0 && cfg.rf < cfg.nodes)) {
+			return fmt.Errorf("-churn needs one shard over every node (shard maps do not version node churn yet)")
+		}
 	default:
 		return fmt.Errorf("unknown -net %q (want sim or tcp)", cfg.netMode)
 	}
+	return nil
+}
 
+// run drives one load run and returns its report. A non-nil error with a
+// non-nil result means the run completed but failed its checks.
+func run(cfg config) (*result, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	strategy, err := core.ParseStrategy(cfg.strategy)
+	if err != nil {
+		return nil, err
+	}
 	reg := obs.Nop
 	if cfg.obsOn {
 		reg = obs.New()
-		reg.SetFlight(obs.NewFlightRecorder(cfg.traceCap))
 	}
 	if cfg.metricsAddr != "" {
 		if reg == obs.Nop {
-			return fmt.Errorf("-metrics requires -obs")
+			return nil, fmt.Errorf("-metrics requires -obs")
 		}
 		ln, err := net.Listen("tcp", cfg.metricsAddr)
 		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
+			return nil, fmt.Errorf("metrics listener: %w", err)
 		}
 		defer ln.Close()
 		srv := &http.Server{Handler: expose.Handler(reg)}
@@ -317,172 +373,25 @@ func run(cfg config) error {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "loadgen: serving metrics on http://%s/ (?format=json, ?format=traces)\n", ln.Addr())
 	}
-
 	stopPprof, err := servePprof(cfg.pprofPort)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer stopPprof()
 
-	tOpts := []transport.Option{transport.WithSeed(cfg.seed)}
-	if reg != obs.Nop {
-		tOpts = append(tOpts, transport.WithObs(reg))
+	var p plane
+	if cfg.netMode == "tcp" {
+		p, err = newTCPPlane(cfg, reg)
+	} else {
+		p, err = newSimPlane(cfg, strategy, reg)
 	}
-	if cfg.latency > 0 {
-		mean := cfg.latency
-		tOpts = append(tOpts, transport.WithLatency(func(r *rand.Rand) time.Duration {
-			return mean/2 + time.Duration(r.Int63n(int64(mean)))
-		}))
-	}
-	netw := transport.NewNetwork(tOpts...)
-	members := nodeset.Range(0, nodeset.ID(cfg.nodes))
-
-	// One replica node per member; every node replicates every item and
-	// hosts a coordinator per item, like the paper's symmetric deployment.
-	// Lock leases follow the coordinator's round timeout (core's default
-	// relation): conflicting operations that wedge each other's quorum
-	// locks resolve on the lease, so a short round timeout keeps the
-	// closed loop moving instead of measuring lease expiries.
-	strategy, err := core.ParseStrategy(cfg.strategy)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var caps map[nodeset.ID]float64
-	if cfg.capacity != "" {
-		if caps, err = daemon.ParseCapacities(cfg.capacity); err != nil {
-			return err
-		}
-	}
-	copts := core.Options{
-		CallTimeout: cfg.callTimeout,
-		Obs:         reg,
-		// One engine across every coordinator of every item: they all
-		// steer by the same observed load, and per-coordinator engines
-		// would multiply the solves by nodes×items.
-		Engine: core.NewStrategyEngine(strategy, netw, members, caps, reg),
-		GroupCommit: core.GroupCommitOptions{
-			Enabled:  cfg.batch,
-			MaxBatch: cfg.batchMax,
-			MaxQueue: cfg.batchQueue,
-		},
-	}
+	defer p.close()
 
-	rcfg := replica.Config{LockLease: 4 * cfg.callTimeout, Obs: reg, PropagationBatch: cfg.batchProp}
-	copts.Replica = rcfg
-	nodes := make([]*replica.Node, cfg.nodes)
-	for i := range nodes {
-		nodes[i] = replica.NewNode(nodeset.ID(i), netw, rcfg)
-		defer nodes[i].Close()
-	}
-	if cfg.slowRead > 0 && cfg.slowNode >= 0 && cfg.slowNode < cfg.nodes {
-		// A weak node: every protocol message it serves takes -slow-read
-		// longer. Registering over the node's own handler keeps the wrap
-		// transparent to the protocol; only service time changes.
-		inner := nodes[cfg.slowNode].Handler()
-		delay := cfg.slowRead
-		netw.Register(nodeset.ID(cfg.slowNode), func(ctx context.Context, from nodeset.ID, req transport.Message) (transport.Message, error) {
-			time.Sleep(delay)
-			return inner(ctx, from, req)
-		})
-		fmt.Fprintf(os.Stderr, "loadgen: node %d serves every message %s slower\n", cfg.slowNode, delay)
-	}
-	coords := make([][]*core.Coordinator, cfg.items) // [item][node]
-	for it := 0; it < cfg.items; it++ {
-		name := fmt.Sprintf("item-%d", it)
-		coords[it] = make([]*core.Coordinator, cfg.nodes)
-		for i, n := range nodes {
-			rep, err := n.AddItem(name, members, make([]byte, cfg.itemSize))
-			if err != nil {
-				return err
-			}
-			coords[it][i] = core.NewCoordinator(rep, netw, members, copts)
-		}
-	}
-
-	stats := make([]workerStats, cfg.workers)
-	deadline := time.Now().Add(cfg.duration)
-	ctx := context.Background()
-	runCtx, runCancel := context.WithDeadline(ctx, deadline)
-	defer runCancel()
-	var wg sync.WaitGroup
-	start := time.Now()
-	// One pacer shared by all workers makes the union of their operations a
-	// single fixed-rate arrival stream; nil (rate 0) keeps the closed loop.
-	pacer := workload.NewPacer(cfg.rate, start)
-	zipfStreams, err := zipfItemStreams(cfg)
-	if err != nil {
-		return err
-	}
-
-	if cfg.churn > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			churnLoop(ctx, cfg, netw, coords, deadline)
-		}()
-	}
-
-	for w := 0; w < cfg.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := &stats[w]
-			rng := rand.New(rand.NewSource(int64(mix64(uint64(cfg.seed) + uint64(w)*0x9e3779b97f4a7c15))))
-			buf := make([]byte, cfg.writeLen)
-			for time.Now().Before(deadline) {
-				// In open-loop mode `began` is the operation's scheduled
-				// arrival (possibly in the past when the system is behind);
-				// in closed-loop mode Wait returns the current time.
-				began, due := pacer.Wait(runCtx)
-				if !due {
-					return
-				}
-				item := pickItem(cfg, w, rng, zipfStreams)
-				isRead := rng.Float64() < cfg.readFrac
-				node := rng.Intn(cfg.nodes)
-				if cfg.affinity && !isRead {
-					// All writes to an item share a coordinator so the
-					// group-commit combiner can merge them; reads stay spread.
-					node = item % cfg.nodes
-				}
-				co := coords[item][node]
-				opCtx, cancel := context.WithTimeout(ctx, cfg.timeout)
-				if isRead {
-					_, _, err := co.Read(opCtx)
-					st.readOut.add(err)
-					if err == nil {
-						st.reads++
-						st.readLat = append(st.readLat, time.Since(began))
-					} else {
-						st.failures++
-					}
-				} else {
-					length := 1 + rng.Intn(cfg.writeLen)
-					data := buf[:length]
-					for i := range data {
-						data[i] = byte('a' + rng.Intn(26))
-					}
-					u := replica.Update{Offset: rng.Intn(cfg.itemSize - length + 1), Data: data}
-					_, err := co.Write(opCtx, u)
-					st.writeOut.add(err)
-					if err == nil {
-						st.writes++
-						st.writeLat = append(st.writeLat, time.Since(began))
-					} else if errors.Is(err, core.ErrConflict) {
-						st.conflicts++
-					} else {
-						st.failures++
-					}
-				}
-				cancel()
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := result{
-		Nodes: cfg.nodes, Items: cfg.items, Workers: cfg.workers,
+	res := &result{
+		Net: cfg.netMode, Nodes: cfg.nodes, Items: cfg.items, Workers: cfg.workers,
 		ReadFrac:   cfg.readFrac,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -497,8 +406,144 @@ func run(cfg config) error {
 		RateTarget: cfg.rate,
 		LatencyUs:  cfg.latency.Microseconds(),
 		ChurnMs:    cfg.churn.Milliseconds(),
-		ElapsedSec: elapsed.Seconds(),
 	}
+	if cfg.zipfItems {
+		res.ZipfTheta = cfg.zipfTheta
+	}
+	if cfg.slowRead > 0 && cfg.slowNode >= 0 {
+		res.SlowRead = fmt.Sprintf("node %d +%s", cfg.slowNode, cfg.slowRead)
+	}
+	if err := drive(cfg, p, res); err != nil {
+		return nil, err
+	}
+	checkErr := p.finish(res)
+	if reg != obs.Nop {
+		snap := reg.Snapshot()
+		res.Metrics = make(map[string]int64, len(snap.Counters))
+		for _, c := range snap.Counters {
+			if c.Value != 0 {
+				res.Metrics[c.Name] = c.Value
+			}
+		}
+		printSummary(os.Stderr, snap)
+	}
+	printLatencyGap(*res, cfg.compare)
+	return res, checkErr
+}
+
+// drive runs the workers (and the churn loop) against p until the
+// deadline — or, with -sweep, until every item has been touched — and
+// folds their stats into res.
+func drive(cfg config, p plane, res *result) error {
+	zipfStreams, err := zipfItemStreams(cfg)
+	if err != nil {
+		return err
+	}
+	touched := make([]atomic.Uint64, (cfg.items+63)/64)
+	stats := make([]workerStats, cfg.workers)
+	deadline := time.Now().Add(cfg.duration)
+	ctx := context.Background()
+	runCtx, runCancel := context.WithDeadline(ctx, deadline)
+	defer runCancel()
+	// -sweep may overrun -duration until every item has been touched, so
+	// its arrivals must not stop at the deadline; each operation is still
+	// bounded by its own timeout.
+	paceCtx := context.Context(runCtx)
+	if cfg.sweep {
+		paceCtx = ctx
+	}
+	var wg sync.WaitGroup
+	start := time.Now()
+	// One pacer shared by all workers makes the union of their operations a
+	// single fixed-rate arrival stream; nil (rate 0) keeps the closed loop.
+	pacer := workload.NewPacer(cfg.rate, start)
+
+	if cfg.churn > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			churnLoop(cfg, p, deadline)
+		}()
+	}
+	for w := 0; w < cfg.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			st := &stats[w]
+			rng := rand.New(rand.NewSource(int64(mix64(uint64(cfg.seed) + uint64(w)*0x9e3779b97f4a7c15))))
+			buf := make([]byte, cfg.writeLen)
+			// The worker's sweep slice of the items, visited in order so the
+			// union over workers covers every item exactly once.
+			next := w * cfg.items / cfg.workers
+			hi := (w + 1) * cfg.items / cfg.workers
+			for op := 1; ; op++ {
+				inTime := time.Now().Before(deadline)
+				if !inTime && (!cfg.sweep || next >= hi) {
+					return
+				}
+				// In open-loop mode `began` is the operation's scheduled
+				// arrival (possibly in the past when the system is behind);
+				// in closed-loop mode Wait returns the current time.
+				began, due := pacer.Wait(paceCtx)
+				if !due {
+					return
+				}
+				var item int
+				if cfg.sweep && next < hi && (!inTime || op%2 == 0) {
+					// Sweep item: alternates with the regular pick during
+					// the measurement window, takes over entirely after the
+					// deadline so coverage completes quickly.
+					item = next
+					next++
+				} else {
+					item = pickItem(cfg, w, rng, zipfStreams)
+				}
+				// Read before or-ing: once an item is marked, its word stays
+				// shared-clean in every worker's cache.
+				if word, bit := &touched[item>>6], uint64(1)<<(item&63); word.Load()&bit == 0 {
+					word.Or(bit)
+				}
+				isRead := rng.Float64() < cfg.readFrac
+				node := rng.Intn(cfg.nodes)
+				if cfg.affinity && !isRead {
+					// All writes to an item share a coordinator so the
+					// group-commit combiner can merge them; reads stay spread.
+					node = item % cfg.nodes
+				}
+				if isRead {
+					err := p.read(ctx, item, node)
+					st.readOut.add(err)
+					if err == nil {
+						st.reads++
+						st.readLat = append(st.readLat, time.Since(began))
+					} else {
+						st.failures++
+					}
+					continue
+				}
+				length := 1 + rng.Intn(cfg.writeLen)
+				data := buf[:length]
+				for i := range data {
+					data[i] = byte('a' + rng.Intn(26))
+				}
+				err := p.write(ctx, item, node, replica.Update{Offset: rng.Intn(cfg.itemSize - length + 1), Data: data})
+				st.writeOut.add(err)
+				switch {
+				case err == nil:
+					st.writes++
+					st.writeLat = append(st.writeLat, time.Since(began))
+				case errors.Is(err, core.ErrConflict):
+					st.conflicts++
+				default:
+					st.failures++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+
+	res.ElapsedSec = elapsed.Seconds()
 	var readLat, writeLat []time.Duration
 	for i := range stats {
 		st := &stats[i]
@@ -515,29 +560,17 @@ func run(cfg config) error {
 	res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
 	res.ReadP50us = percentile(readLat, 0.50).Microseconds()
 	res.ReadP99us = percentile(readLat, 0.99).Microseconds()
+	res.ReadP999us = percentile(readLat, 0.999).Microseconds()
 	res.WriteP50us = percentile(writeLat, 0.50).Microseconds()
 	res.WriteP99us = percentile(writeLat, 0.99).Microseconds()
-	res.ReadP999us = percentile(readLat, 0.999).Microseconds()
 	res.WriteP999us = percentile(writeLat, 0.999).Microseconds()
-	if cfg.slowRead > 0 && cfg.slowNode >= 0 {
-		res.SlowRead = cfg.slowRead.String()
+	for i := range touched {
+		res.DistinctKeys += bits.OnesCount64(touched[i].Load())
 	}
-	attachStrategyOutcomes(&res)
-
-	if reg != obs.Nop {
-		snap := reg.Snapshot()
-		res.Metrics = make(map[string]int64, len(snap.Counters))
-		for _, c := range snap.Counters {
-			if c.Value != 0 {
-				res.Metrics[c.Name] = c.Value
-			}
-		}
-		printSummary(os.Stderr, snap)
+	res.StrategyOutcomes = map[string]opOutcomes{
+		res.Strategy: {Reads: res.ReadOutcomes, Writes: res.WriteOutcomes},
 	}
-	printLatencyGap(res, cfg.compare)
-
-	enc := json.NewEncoder(os.Stdout)
-	return enc.Encode(res)
+	return nil
 }
 
 // churnLoop crashes one node at a time, runs epoch checks so the survivors
@@ -545,40 +578,48 @@ func run(cfg config) error {
 // readmitted (stale) and propagation brings it current. This exercises the
 // paper's failure path end to end: epoch redirects on the coordinators
 // whose cached epoch went stale, stale marks on the readmitted replica,
-// and a populated staleness-duration histogram.
-func churnLoop(ctx context.Context, cfg config, netw *transport.Network, coords [][]*core.Coordinator, deadline time.Time) {
+// and a populated staleness-duration histogram. On the tcp plane the crash
+// is a SIGKILLed process and the restart a respawn with -recovering, so
+// recovery re-crosses the wire.
+func churnLoop(cfg config, p plane, deadline time.Time) {
 	rng := rand.New(rand.NewSource(int64(mix64(uint64(cfg.seed) ^ 0xc0ffee))))
-	checkAll := func(avoid nodeset.ID) {
-		for it := range coords {
-			from := nodeset.ID(rng.Intn(cfg.nodes))
+	checkAll := func(avoid int) {
+		for it := 0; it < cfg.items; it++ {
+			from := rng.Intn(cfg.nodes)
 			if from == avoid {
-				from = (from + 1) % nodeset.ID(cfg.nodes)
+				from = (from + 1) % cfg.nodes
 			}
-			checkCtx, cancel := context.WithTimeout(ctx, cfg.timeout)
-			_, _ = coords[it][from].CheckEpoch(checkCtx)
+			ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
+			p.checkEpoch(ctx, it, from)
 			cancel()
 		}
 	}
 	for time.Now().Before(deadline) {
-		victim := nodeset.ID(rng.Intn(cfg.nodes))
-		netw.Crash(victim)
+		victim := rng.Intn(cfg.nodes)
+		p.crash(victim)
 		checkAll(victim)
-		if !sleepUntil(cfg.churn, deadline) {
-			netw.Restart(victim)
-			checkAll(victim)
+		more := sleepUntil(cfg.churn, deadline)
+		if err := p.restart(victim); err != nil {
+			fmt.Fprintf(os.Stderr, "loadgen: churn: %v\n", err)
 			return
 		}
-		netw.Restart(victim)
 		checkAll(victim)
-		if !sleepUntil(cfg.churn, deadline) {
+		if !more || !sleepUntil(cfg.churn, deadline) {
 			return
 		}
 	}
 }
 
+// keyName renders item k as "k<decimal>", the item name both planes use.
+func keyName(k int) string {
+	var buf [24]byte
+	b := append(buf[:0], 'k')
+	return string(strconv.AppendInt(b, int64(k), 10))
+}
+
 // servePprof starts a net/http/pprof server on 127.0.0.1:port; port 0
-// disables profiling and returns a no-op closer. Shared by sim and tcp
-// mode (the client process; spawned daemons get their own ports).
+// disables profiling and returns a no-op closer. It profiles the client
+// process; spawned daemons get their own ports.
 func servePprof(port int) (func(), error) {
 	if port <= 0 {
 		return func() {}, nil
@@ -636,15 +677,6 @@ func printSummary(w *os.File, snap obs.Snapshot) {
 	}
 }
 
-// transportLabel names the data plane a result ran on for the latency
-// summary; sim-mode results predate the Net field, so empty means sim.
-func transportLabel(res result) string {
-	if res.Net == "" {
-		return "sim"
-	}
-	return res.Net
-}
-
 // printLatencyGap writes the per-transport operation latency line to
 // stderr and, when comparePath points at a previous run's JSON result,
 // the ratio between the two runs' percentiles. Running the same workload
@@ -653,7 +685,7 @@ func transportLabel(res result) string {
 // drives toward 1.
 func printLatencyGap(res result, comparePath string) {
 	fmt.Fprintf(os.Stderr, "loadgen: latency[%s] read p50=%dµs p99=%dµs write p50=%dµs p99=%dµs (%.0f ops/s)\n",
-		transportLabel(res), res.ReadP50us, res.ReadP99us, res.WriteP50us, res.WriteP99us, res.OpsPerSec)
+		res.Net, res.ReadP50us, res.ReadP99us, res.WriteP50us, res.WriteP99us, res.OpsPerSec)
 	if comparePath == "" {
 		return
 	}
@@ -674,9 +706,9 @@ func printLatencyGap(res result, comparePath string) {
 		return fmt.Sprintf("%.2fx", float64(cur)/float64(prev))
 	}
 	fmt.Fprintf(os.Stderr, "loadgen: latency[%s] read p50=%dµs p99=%dµs write p50=%dµs p99=%dµs (%.0f ops/s)\n",
-		transportLabel(base), base.ReadP50us, base.ReadP99us, base.WriteP50us, base.WriteP99us, base.OpsPerSec)
+		base.Net, base.ReadP50us, base.ReadP99us, base.WriteP50us, base.WriteP99us, base.OpsPerSec)
 	fmt.Fprintf(os.Stderr, "loadgen: gap %s vs %s: read p50 %s p99 %s, write p50 %s p99 %s, throughput %s\n",
-		transportLabel(res), transportLabel(base),
+		res.Net, base.Net,
 		ratio(res.ReadP50us, base.ReadP50us), ratio(res.ReadP99us, base.ReadP99us),
 		ratio(res.WriteP50us, base.WriteP50us), ratio(res.WriteP99us, base.WriteP99us),
 		func() string {
@@ -719,15 +751,6 @@ func sampleTrace(traces []obs.Trace) *obs.Trace {
 type opOutcomes struct {
 	Reads  outcomes `json:"reads"`
 	Writes outcomes `json:"writes"`
-}
-
-// attachStrategyOutcomes fills the per-strategy breakdown once the
-// aggregate outcomes are summed. res.Strategy must already hold the
-// canonical strategy name.
-func attachStrategyOutcomes(res *result) {
-	res.StrategyOutcomes = map[string]opOutcomes{
-		res.Strategy: {Reads: res.ReadOutcomes, Writes: res.WriteOutcomes},
-	}
 }
 
 // zipfItemStreams builds one independent Zipfian item stream per worker

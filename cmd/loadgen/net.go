@@ -1,48 +1,57 @@
-// Net-mode loadgen: -net tcp spawns one coteried process per cluster
-// member (re-executing this binary's `coteried` subcommand) and drives
-// the cluster over loopback TCP through the capi client API. The worker
-// loop, churn cadence, and report shape mirror the in-process mode, with
-// two differences that only exist across real processes:
+// The tcp data plane: -net tcp spawns one coteried process per cluster
+// member (re-executing this binary's `coteried` subcommand) and drives the
+// cluster over loopback TCP through the smart capi client — cached shard
+// map, direct routing with per-item affinity, retry with jittered backoff,
+// and optionally hedged reads. By default the daemons serve one shard
+// whose coterie is every node (-shards 1, -rf 0), the paper's deployment;
+// -shards N hashes the items across N coteries of -rf nodes each, the
+// horizontal-scale story, where per-shard operation counts and p999 tails
+// are first-class outputs. Two things only exist across real processes:
 //
 //   - Churn kills daemons with SIGKILL and respawns them with -recovering,
 //     exercising the paper's recovering-replica path end to end across
 //     process boundaries (crash amnesia, epoch readmission, propagation).
-//   - Every client operation is recorded into a per-item onecopy history
-//     and checked for one-copy serializability at the end of the run; a
-//     write whose outcome is ambiguous (timeout, unavailability, transport
-//     failure after the commit point may have been reached) records as a
-//     MaybeWrite wildcard, a clean Conflict abort records nothing.
+//   - Client operations are recorded into per-item onecopy histories and
+//     checked for one-copy serializability at the end of the run. A write
+//     whose outcome is ambiguous (capi.ErrAmbiguous, or an Unavailable /
+//     Error disposition after the commit point may have been reached)
+//     records as a MaybeWrite wildcard; a clean abort records nothing. The
+//     smart client never resends an ambiguous write, which is what keeps
+//     the checked histories free of duplicate commits.
+//
+// One-copy checking at million-item scale: recording every item's history
+// would cost more memory than the cluster itself, so -check-stride k
+// samples the items — every k-th item plus the 1024 hottest (Zipf rank is
+// item order, so low items are hot and contended, exactly where violations
+// would appear).
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"coterie/internal/capi"
 	"coterie/internal/core"
 	"coterie/internal/daemon"
-	dl "coterie/internal/deadline"
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
 	"coterie/internal/onecopy"
+	"coterie/internal/placement"
 	"coterie/internal/replica"
-	"coterie/internal/transport"
 	"coterie/internal/transport/tcpnet"
-	"coterie/internal/workload"
 )
 
 // reservePorts picks n distinct loopback addresses by binding ephemeral
@@ -81,29 +90,23 @@ type proc struct {
 // data plane. The stdout READY line remains the bootstrap (it carries the
 // ephemeral admin port) and the whole handshake when -admin is off.
 func spawnDaemon(exe string, id nodeset.ID, book map[nodeset.ID]string, cfg config, recovering bool) (*proc, error) {
-	items := cfg.items
-	if cfg.shards > 0 {
-		items = 0 // sharded daemons materialize replicas lazily
+	rf := cfg.rf
+	if rf <= 0 {
+		rf = cfg.nodes
 	}
 	args := []string{
 		"coteried",
 		"-node", strconv.Itoa(int(id)),
 		"-cluster", daemon.FormatCluster(book),
-		"-items", strconv.Itoa(items),
+		"-shards", strconv.Itoa(cfg.shards),
+		"-rf", strconv.Itoa(rf),
 		"-item-size", strconv.Itoa(cfg.itemSize),
 		"-call-timeout", cfg.callTimeout.String(),
 		"-strategy", cfg.strategy,
-		"-pipeline=" + strconv.FormatBool(cfg.pipeline),
 		"-obs=" + strconv.FormatBool(cfg.obsOn),
 	}
-	if cfg.shards > 0 {
-		args = append(args, "-shards", strconv.Itoa(cfg.shards))
-		if cfg.rf > 0 {
-			args = append(args, "-rf", strconv.Itoa(cfg.rf))
-		}
-		if cfg.maxCoords > 0 {
-			args = append(args, "-max-coords", strconv.Itoa(cfg.maxCoords))
-		}
+	if cfg.maxCoords > 0 {
+		args = append(args, "-max-coords", strconv.Itoa(cfg.maxCoords))
 	}
 	if cfg.slowRead > 0 && int(id) == cfg.slowNode {
 		args = append(args, "-slow-read", cfg.slowRead.String())
@@ -297,249 +300,203 @@ func statusErr(st capi.Status, detail string) error {
 	}
 }
 
-func runTCP(cfg config) error {
-	if cfg.latency > 0 {
-		return fmt.Errorf("-latency is simulation-only (real TCP has real latency)")
-	}
-	strategy, err := core.ParseStrategy(cfg.strategy)
-	if err != nil {
-		return err
-	}
+// tcpPlane drives spawned coteried daemons through one capi.Client.
+type tcpPlane struct {
+	cfg    config
+	exe    string
+	book   map[nodeset.ID]string
+	net    *tcpnet.Network
+	client *capi.Client
+	pm     *placement.Map
+	self   nodeset.ID // identity of the churn loop's direct epoch checks
+
+	// procs is written only by the churn loop, which the workers' wait
+	// group orders before finish and close read it.
+	procs []*proc
+
+	recs     *recTable
+	shardOps []atomic.Int64
+}
+
+func newTCPPlane(cfg config, reg *obs.Registry) (*tcpPlane, error) {
 	exe, err := os.Executable()
 	if err != nil {
-		return fmt.Errorf("cannot self-spawn daemons: %w", err)
+		return nil, fmt.Errorf("cannot self-spawn daemons: %w", err)
 	}
 	addrs, err := reservePorts(cfg.nodes)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	book := make(map[nodeset.ID]string, cfg.nodes)
+	p := &tcpPlane{
+		cfg:   cfg,
+		exe:   exe,
+		book:  make(map[nodeset.ID]string, cfg.nodes),
+		self:  nodeset.ID(cfg.nodes + 2),
+		procs: make([]*proc, cfg.nodes),
+		recs:  newRecTable(cfg.itemSize, cfg.checkStride),
+	}
 	for i, a := range addrs {
-		book[nodeset.ID(i)] = a
+		p.book[nodeset.ID(i)] = a
 	}
-
-	procs := make([]*proc, cfg.nodes)
-	var procMu sync.Mutex // churn swaps entries while shutdown reads them
-	for i := range procs {
-		p, err := spawnDaemon(exe, nodeset.ID(i), book, cfg, false)
-		if err != nil {
-			for _, q := range procs[:i] {
-				q.kill()
-			}
-			return err
+	for i := range p.procs {
+		if p.procs[i], err = spawnDaemon(exe, nodeset.ID(i), p.book, cfg, false); err != nil {
+			p.close()
+			return nil, err
 		}
-		procs[i] = p
 	}
-	defer func() {
-		procMu.Lock()
-		defer procMu.Unlock()
-		for _, p := range procs {
-			if p != nil {
-				p.stop()
-			}
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "loadgen: %d coteried daemons up (%s)\n", cfg.nodes, daemon.FormatCluster(book))
+	fmt.Fprintf(os.Stderr, "loadgen: %d coteried daemons up (%s)\n", cfg.nodes, daemon.FormatCluster(p.book))
 
-	stopPprof, err := servePprof(cfg.pprofPort)
-	if err != nil {
-		return err
-	}
-	defer stopPprof()
-
-	reg := obs.Nop
-	if cfg.obsOn {
-		reg = obs.New()
-	}
-	topts := []tcpnet.Option{tcpnet.WithPipeline(cfg.pipeline)}
+	var topts []tcpnet.Option
 	if reg != obs.Nop {
 		topts = append(topts, tcpnet.WithObs(reg))
 	}
 	if cfg.pool > 0 {
 		topts = append(topts, tcpnet.WithPoolSize(cfg.pool))
 	}
-	cli := tcpnet.New(book, topts...)
-	defer cli.Close()
-
-	recorders := make([]*onecopy.Recorder, cfg.items)
-	for i := range recorders {
-		recorders[i] = onecopy.NewRecorder(make([]byte, cfg.itemSize))
+	p.net = tcpnet.New(p.book, topts...)
+	seeds := make([]nodeset.ID, cfg.nodes)
+	for i := range seeds {
+		seeds[i] = nodeset.ID(i)
 	}
-
-	stats := make([]workerStats, cfg.workers)
-	deadline := time.Now().Add(cfg.duration)
-	ctx := context.Background()
-	runCtx, runCancel := context.WithDeadline(ctx, deadline)
-	defer runCancel()
-	var wg sync.WaitGroup
-	start := time.Now()
-	pacer := workload.NewPacer(cfg.rate, start)
-
-	if cfg.churn > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			churnProcs(cfg, exe, book, procs, &procMu, cli, deadline)
-		}()
+	p.client, err = capi.NewClient(p.net, capi.ClientConfig{
+		Self:        nodeset.ID(cfg.nodes + 1),
+		Seeds:       seeds,
+		OpTimeout:   cfg.timeout,
+		CallTimeout: cfg.callTimeout,
+		Hedge:       cfg.hedge,
+		Obs:         reg,
+		Seed:        uint64(cfg.seed),
+		TraceSample: cfg.traceSample,
+	})
+	if err != nil {
+		p.close()
+		return nil, err
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	err = p.client.Refresh(ctx)
+	cancel()
+	if err != nil {
+		p.close()
+		return nil, fmt.Errorf("shard map bootstrap: %w", err)
+	}
+	p.pm = p.client.Map()
+	p.shardOps = make([]atomic.Int64, p.pm.NumShards())
+	fmt.Fprintf(os.Stderr, "loadgen: shard map v%d: %d shards rf=%d across %d nodes\n",
+		p.pm.Version(), p.pm.NumShards(), p.pm.RF(), p.pm.Nodes().Len())
+	return p, nil
+}
 
-	for w := 0; w < cfg.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := &stats[w]
-			rng := rand.New(rand.NewSource(int64(mix64(uint64(cfg.seed) + uint64(w)*0x9e3779b97f4a7c15))))
-			from := nodeset.ID(cfg.nodes + w)
-			for time.Now().Before(deadline) {
-				began, due := pacer.Wait(runCtx)
-				if !due {
-					return
-				}
-				item := w % cfg.items
-				if !cfg.disjoint {
-					item = rng.Intn(cfg.items)
-				}
-				isRead := rng.Float64() < cfg.readFrac
-				node := nodeset.ID(rng.Intn(cfg.nodes))
-				if cfg.affinity && !isRead {
-					node = nodeset.ID(item % cfg.nodes)
-				}
-				name := fmt.Sprintf("item-%d", item)
-				rec := recorders[item]
-				// A lazily armed deadline context: the transport propagates
-				// the deadline on the wire and bounds the wait with a pooled
-				// timer, so the op's context never allocates cancellation
-				// machinery on the happy path.
-				opCtx, cancel := dl.Bound(ctx, cfg.timeout)
-				if isRead {
-					opStart := rec.Begin()
-					reply, callErr := cli.Call(opCtx, from, node, capi.Read{Item: name})
-					err := opError(opCtx, reply, callErr)
-					st.readOut.add(err)
-					if err == nil {
-						vr := reply.(capi.ReadReply)
-						rec.EndRead(opStart, vr.Version, vr.Value)
-						st.reads++
-						st.readLat = append(st.readLat, time.Since(began))
-					} else {
-						st.failures++
-					}
-				} else {
-					length := 1 + rng.Intn(cfg.writeLen)
-					data := make([]byte, length) // recorded histories own their bytes
-					for i := range data {
-						data[i] = byte('a' + rng.Intn(26))
-					}
-					u := replica.Update{Offset: rng.Intn(cfg.itemSize - length + 1), Data: data}
-					opStart := rec.Begin()
-					reply, callErr := cli.Call(opCtx, from, node, capi.Write{Item: name, Update: u})
-					err := opError(opCtx, reply, callErr)
-					st.writeOut.add(err)
-					switch {
-					case err == nil:
-						rec.EndWrite(opStart, reply.(capi.WriteReply).Version, u)
-						st.writes++
-						st.writeLat = append(st.writeLat, time.Since(began))
-					case errors.Is(err, core.ErrConflict):
-						// Clean abort: the coordinator never reached the
-						// commit point, so the write cannot have applied.
-						st.conflicts++
-					default:
-						// Ambiguous: the commit may have begun before the
-						// failure; the history checker must allow both.
-						rec.EndMaybeWrite(opStart, u)
-						st.failures++
-					}
-				}
-				cancel()
-			}
-		}(w)
+// begin names item, counts it against its shard and opens its history
+// record (nil when the item is outside the checked sample).
+func (p *tcpPlane) begin(item int) (name string, rec *onecopy.Recorder, opStart uint64) {
+	name = keyName(item)
+	p.shardOps[p.pm.ShardOf(name)].Add(1)
+	if rec = p.recs.get(uint64(item)); rec != nil {
+		opStart = rec.Begin()
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	return name, rec, opStart
+}
 
-	res := result{
-		Nodes: cfg.nodes, Items: cfg.items, Workers: cfg.workers,
-		ReadFrac:   cfg.readFrac,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Seed:       cfg.seed,
-		Obs:        cfg.obsOn,
-		Batch:      cfg.batch,
-		Strategy:   strategy.String(),
-		Capacity:   cfg.capacity,
-		Affinity:   cfg.affinity,
-		BatchProp:  cfg.batchProp,
-		RateTarget: cfg.rate,
-		ChurnMs:    cfg.churn.Milliseconds(),
-		ElapsedSec: elapsed.Seconds(),
-		Net:        "tcp",
-		Pipeline:   &cfg.pipeline,
+func (p *tcpPlane) read(ctx context.Context, item, _ int) error {
+	name, rec, opStart := p.begin(item)
+	reply, err := p.client.Read(ctx, name)
+	if err == nil {
+		err = statusErr(reply.Status, reply.Detail)
 	}
-	var readLat, writeLat []time.Duration
-	for i := range stats {
-		st := &stats[i]
-		res.Reads += st.reads
-		res.Writes += st.writes
-		res.Conflicts += st.conflicts
-		res.Failures += st.failures
-		addOutcomes(&res.ReadOutcomes, st.readOut)
-		addOutcomes(&res.WriteOutcomes, st.writeOut)
-		readLat = append(readLat, st.readLat...)
-		writeLat = append(writeLat, st.writeLat...)
+	if err == nil && rec != nil {
+		rec.EndRead(opStart, reply.Version, reply.Value)
 	}
-	res.Ops = res.Reads + res.Writes
-	res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
-	res.ReadP50us = percentile(readLat, 0.50).Microseconds()
-	res.ReadP99us = percentile(readLat, 0.99).Microseconds()
-	res.WriteP50us = percentile(writeLat, 0.50).Microseconds()
-	res.WriteP99us = percentile(writeLat, 0.99).Microseconds()
-	res.ReadP999us = percentile(readLat, 0.999).Microseconds()
-	res.WriteP999us = percentile(writeLat, 0.999).Microseconds()
-	if cfg.slowRead > 0 && cfg.slowNode >= 0 {
-		res.SlowRead = cfg.slowRead.String()
-	}
-	attachStrategyOutcomes(&res)
+	return err
+}
 
-	// One-copy serializability check over every item's recorded history.
-	violations := 0
-	for i, rec := range recorders {
-		if err := rec.Check(); err != nil {
-			violations++
-			fmt.Fprintf(os.Stderr, "loadgen: ONE-COPY VIOLATION item-%d: %v\n", i, err)
+func (p *tcpPlane) write(ctx context.Context, item, _ int, u replica.Update) error {
+	name, rec, opStart := p.begin(item)
+	if rec != nil {
+		u.Data = bytes.Clone(u.Data) // recorded histories own their bytes
+	}
+	reply, err := p.client.Write(ctx, name, u)
+	ambiguous := errors.Is(err, capi.ErrAmbiguous)
+	if err == nil {
+		err = statusErr(reply.Status, reply.Detail)
+		// Anything but a clean conflict abort may have begun the commit.
+		ambiguous = err != nil && reply.Status != capi.StatusConflict
+	}
+	if rec != nil {
+		switch {
+		case err == nil:
+			rec.EndWrite(opStart, reply.Version, u)
+		case ambiguous:
+			// The commit may have begun; the checker must allow both.
+			rec.EndMaybeWrite(opStart, u)
 		}
+		// Otherwise a clean client-side failure (conflict abort, routing,
+		// deadline between attempts): nothing dispatched could still
+		// commit, nothing to record.
 	}
+	return err
+}
+
+// checkEpoch goes straight to node rather than through the client's
+// routing, so the churn loop can steer it to a survivor; churn runs only
+// with one shard over every node, so node owns every item.
+func (p *tcpPlane) checkEpoch(ctx context.Context, item, node int) {
+	_, _ = p.net.Call(ctx, p.self, nodeset.ID(node), capi.CheckEpoch{Item: keyName(item)})
+}
+
+func (p *tcpPlane) crash(node int) {
+	p.procs[node].kill()
+	p.procs[node] = nil
+}
+
+func (p *tcpPlane) restart(node int) error {
+	pr, err := spawnDaemon(p.exe, nodeset.ID(node), p.book, p.cfg, true)
+	if err != nil {
+		return fmt.Errorf("respawn of node %d failed: %w", node, err)
+	}
+	p.procs[node] = pr
+	return nil
+}
+
+func (p *tcpPlane) finish(res *result) error {
+	hedge := p.cfg.hedge
+	res.Hedge = &hedge
+	res.Shards, res.RF = p.pm.NumShards(), p.pm.RF()
+	res.PerShardOps = make([]int64, len(p.shardOps))
+	for i := range p.shardOps {
+		res.PerShardOps[i] = p.shardOps[i].Load()
+	}
+	cs := p.client.Stats()
+	res.Client = &cs
+
+	checked, violations := p.recs.check()
+	res.CheckedKeys = checked
 	res.OneCopyViolations = &violations
 	if violations == 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: one-copy serializability verified across %d items (%d ops)\n", cfg.items, res.Ops)
+		fmt.Fprintf(os.Stderr, "loadgen: one-copy serializability verified on %d sampled items (%d distinct items, %d ops)\n",
+			checked, res.DistinctKeys, res.Ops)
 	}
+	fmt.Fprintf(os.Stderr, "loadgen: client retries=%d hedges=%d hedge_wins=%d hedge_canceled=%d wrong_shard=%d map_refresh=%d traces=%d\n",
+		cs.Retries, cs.Hedges, cs.HedgeWins, cs.HedgeCanceled, cs.WrongShard, cs.MapRefresh, cs.TracesSampled)
+	printShardSpread(os.Stderr, res.PerShardOps)
 
-	if reg != obs.Nop {
-		snap := reg.Snapshot()
-		res.Metrics = make(map[string]int64, len(snap.Counters))
-		for _, c := range snap.Counters {
-			if c.Value != 0 {
-				res.Metrics[c.Name] = c.Value
-			}
-		}
-		printSummary(os.Stderr, snap)
-	}
-	procMu.Lock()
-	cs := clusterScrape(procs)
-	procMu.Unlock()
-	if cs != nil {
-		res.ClusterMetrics = nonZeroCounters(cs.Counters)
-	}
-	printLatencyGap(res, cfg.compare)
-
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(res); err != nil {
-		return err
+	if ccs := clusterScrape(p.procs); ccs != nil {
+		res.ClusterMetrics = nonZeroCounters(ccs.Counters)
 	}
 	if violations > 0 {
 		return fmt.Errorf("%d one-copy serializability violations", violations)
 	}
 	return nil
+}
+
+func (p *tcpPlane) close() {
+	if p.net != nil {
+		p.net.Close()
+	}
+	for _, pr := range p.procs {
+		if pr != nil {
+			pr.stop()
+		}
+	}
 }
 
 // nonZeroCounters filters the merged counter map down to the counters that
@@ -554,70 +511,87 @@ func nonZeroCounters(m map[string]int64) map[string]int64 {
 	return out
 }
 
-// opError folds a call's transport error, reply status, and the op
-// context's own deadline into one error for outcome accounting.
-func opError(ctx context.Context, reply transport.Message, callErr error) error {
-	if callErr != nil {
-		if ctx.Err() != nil {
-			return context.DeadlineExceeded
-		}
-		return callErr
-	}
-	switch r := reply.(type) {
-	case capi.ReadReply:
-		return statusErr(r.Status, r.Detail)
-	case capi.WriteReply:
-		return statusErr(r.Status, r.Detail)
-	case capi.CheckReply:
-		return statusErr(r.Status, r.Detail)
-	default:
-		return fmt.Errorf("unexpected reply type %T", reply)
-	}
+// recTable is the lazy, striped one-copy recorder table. Stride-sampled
+// keys (plus the hottest 1024) get a recorder on first touch; everything
+// else reads/writes unrecorded. 64 stripes keep the lookup off any single
+// lock in the worker hot path.
+type recTable struct {
+	stride   uint64
+	itemSize int
+	stripes  [64]recStripe
 }
 
-// churnProcs is the process-level churn loop: SIGKILL a daemon, run epoch
-// checks from survivors so the cluster installs a smaller epoch, respawn
-// the daemon with -recovering, and check again so it is readmitted and
-// propagation rebuilds it. The same failure path as the in-process
-// churnLoop, but the crash is a real dead process and recovery re-crosses
-// the wire.
-func churnProcs(cfg config, exe string, book map[nodeset.ID]string, procs []*proc, mu *sync.Mutex, cli *tcpnet.Network, deadline time.Time) {
-	rng := rand.New(rand.NewSource(int64(mix64(uint64(cfg.seed) ^ 0xc0ffee))))
-	clientID := nodeset.ID(cfg.nodes + cfg.workers) // distinct from workers
-	checkAll := func(avoid nodeset.ID) {
-		for it := 0; it < cfg.items; it++ {
-			from := nodeset.ID(rng.Intn(cfg.nodes))
-			if from == avoid {
-				from = (from + 1) % nodeset.ID(cfg.nodes)
+type recStripe struct {
+	mu sync.Mutex
+	m  map[uint64]*onecopy.Recorder
+}
+
+func newRecTable(itemSize, stride int) *recTable {
+	t := &recTable{stride: uint64(stride), itemSize: itemSize}
+	if t.stride == 0 {
+		t.stride = 1
+	}
+	for i := range t.stripes {
+		t.stripes[i].m = make(map[uint64]*onecopy.Recorder)
+	}
+	return t
+}
+
+// get returns key's recorder, creating it on first touch, or nil when the
+// key falls outside the checked sample.
+func (t *recTable) get(key uint64) *onecopy.Recorder {
+	if t.stride > 1 && key >= 1024 && key%t.stride != 0 {
+		return nil
+	}
+	s := &t.stripes[key&63]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.m[key]
+	if r == nil {
+		r = onecopy.NewRecorder(make([]byte, t.itemSize))
+		s.m[key] = r
+	}
+	return r
+}
+
+// check verifies every recorded history and returns how many keys were
+// checked and how many violated one-copy serializability.
+func (t *recTable) check() (checked, violations int) {
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		for key, rec := range s.m {
+			checked++
+			if err := rec.Check(); err != nil {
+				violations++
+				fmt.Fprintf(os.Stderr, "loadgen: ONE-COPY VIOLATION %s: %v\n", keyName(int(key)), err)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
-			_, _ = cli.Call(ctx, clientID, from, capi.CheckEpoch{Item: fmt.Sprintf("item-%d", it)})
-			cancel()
 		}
 	}
-	for time.Now().Before(deadline) {
-		victim := nodeset.ID(rng.Intn(cfg.nodes))
-		mu.Lock()
-		p := procs[victim]
-		procs[victim] = nil
-		mu.Unlock()
-		if p == nil {
-			return // shutdown raced us
+	return checked, violations
+}
+
+// printShardSpread summarizes per-shard load balance on stderr: min, max,
+// and the max/mean imbalance factor.
+func printShardSpread(w *os.File, shardOps []int64) {
+	if len(shardOps) == 0 {
+		return
+	}
+	var total, max int64
+	min := shardOps[0]
+	for _, n := range shardOps {
+		total += n
+		if n > max {
+			max = n
 		}
-		p.kill()
-		checkAll(victim)
-		stillGoing := sleepUntil(cfg.churn, deadline)
-		np, err := spawnDaemon(exe, victim, book, cfg, true)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: churn respawn of node %d failed: %v\n", victim, err)
-			return
-		}
-		mu.Lock()
-		procs[victim] = np
-		mu.Unlock()
-		checkAll(victim)
-		if !stillGoing || !sleepUntil(cfg.churn, deadline) {
-			return
+		if n < min {
+			min = n
 		}
 	}
+	mean := float64(total) / float64(len(shardOps))
+	imb := 0.0
+	if mean > 0 {
+		imb = float64(max) / mean
+	}
+	fmt.Fprintf(w, "loadgen: shard spread: %d shards, ops min=%d max=%d mean=%.0f (max/mean %.2fx)\n",
+		len(shardOps), min, max, mean, imb)
 }

@@ -117,8 +117,8 @@ type MapQuery struct {
 // MapReply answers a MapQuery with the shard map's parameters. Rendezvous
 // hashing makes the full shard->members table a pure function of these
 // four values (internal/placement), so the table itself never crosses the
-// wire: the client reconstructs it locally. A NumShards of zero means the
-// daemon is not sharded (legacy single-coterie deployment).
+// wire: the client reconstructs it locally. Every daemon serves at least
+// one shard; a client refuses a map with none (placement.New does).
 type MapReply struct {
 	Version   uint64
 	NumShards uint32

@@ -246,10 +246,6 @@ func (c *Client) Refresh(ctx context.Context) error {
 			lastErr = fmt.Errorf("capi: unexpected MapQuery reply %T", msg)
 			continue
 		}
-		if rep.NumShards == 0 {
-			lastErr = errors.New("capi: daemon is not sharded")
-			continue
-		}
 		if cur != nil && rep.Version == cur.Version() {
 			return nil
 		}

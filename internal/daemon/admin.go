@@ -22,16 +22,12 @@ type Health struct {
 	Node       int    `json:"node"`
 	Recovering bool   `json:"recovering"`
 
-	// Sharded mode: the map this daemon serves and its slice of it.
-	// NumShards == 0 means legacy fixed-item mode (see Items).
+	// The map this daemon serves and its slice of it.
 	MapVersion  uint64 `json:"map_version,omitempty"`
 	NumShards   int    `json:"num_shards,omitempty"`
 	RF          int    `json:"rf,omitempty"`
 	OwnedShards []int  `json:"owned_shards,omitempty"`
 	LiveCoords  int    `json:"live_coordinators"`
-
-	// Legacy mode: the fixed item list this daemon replicates.
-	Items []string `json:"items,omitempty"`
 }
 
 // Health reports the daemon's current health/ownership snapshot — the same
@@ -41,21 +37,15 @@ func (d *Daemon) Health() Health {
 		Status:     "ok",
 		Node:       int(d.cfg.Self),
 		Recovering: d.cfg.Recovering,
+		MapVersion: d.pmap.Version(),
+		NumShards:  d.pmap.NumShards(),
+		RF:         d.pmap.RF(),
 		LiveCoords: d.LiveCoordinators(),
 	}
-	if d.pmap != nil {
-		h.MapVersion = d.pmap.Version()
-		h.NumShards = d.pmap.NumShards()
-		h.RF = d.pmap.RF()
-		for _, s := range d.pmap.OwnedShards(d.cfg.Self) {
-			h.OwnedShards = append(h.OwnedShards, int(s))
-		}
-		sort.Ints(h.OwnedShards)
-	} else {
-		h.Items = d.node.Items()
-		sort.Strings(h.Items)
-		h.LiveCoords = len(d.coords)
+	for _, s := range d.pmap.OwnedShards(d.cfg.Self) {
+		h.OwnedShards = append(h.OwnedShards, int(s))
 	}
+	sort.Ints(h.OwnedShards)
 	return h
 }
 

@@ -22,13 +22,11 @@ func ParseFlags(args []string) (Config, error) {
 		cfg      Config
 		nodeID   int
 		cluster  string
-		items    int
 		capacity string
 	)
 	fs := flag.NewFlagSet("coteried", flag.ContinueOnError)
 	fs.IntVar(&nodeID, "node", 0, "node ID this process hosts")
 	fs.StringVar(&cluster, "cluster", "", "address book: id=host:port,id=host:port,...")
-	fs.IntVar(&items, "items", 1, "replicated data items (named item-0..item-N-1)")
 	fs.IntVar(&cfg.ItemSize, "item-size", 256, "logical item size in bytes")
 	fs.BoolVar(&cfg.Recovering, "recovering", false, "rejoin as a recovering replica (process restart after crash)")
 	fs.DurationVar(&cfg.CallTimeout, "call-timeout", 250*time.Millisecond, "per-RPC-round timeout (also scales lock leases)")
@@ -39,15 +37,14 @@ func ParseFlags(args []string) (Config, error) {
 	fs.IntVar(&cfg.GroupCommit.MaxQueue, "batch-queue", 0, "combiner queue depth (0 = default)")
 	fs.BoolVar(&cfg.BatchProp, "batch-prop", false, "batch stale propagation per target node")
 	fs.IntVar(&cfg.PoolSize, "pool", 0, "pipelined connections per peer (0 = default)")
-	fs.BoolVar(&cfg.Pipeline, "pipeline", true, "multiplex calls over persistent connections (false = dial per call)")
 	fs.BoolVar(&cfg.Obs, "obs", true, "attach the observability registry")
 	fs.StringVar(&cfg.MetricsAddr, "metrics", "", "serve live metrics over HTTP on this address")
 	fs.StringVar(&cfg.PprofAddr, "pprof", "", "serve net/http/pprof profiling on this address")
 	fs.StringVar(&cfg.AdminAddr, "admin", "", "serve the admin plane (/metrics /traces /healthz /debug/pprof) on this address")
-	fs.IntVar(&cfg.Shards, "shards", 0, "serve a sharded keyspace of this many coteries (0 = fixed -items list)")
-	fs.IntVar(&cfg.RF, "rf", 0, "replicas per shard in sharded mode (0 = default 3, clamped to cluster size)")
+	fs.IntVar(&cfg.Shards, "shards", 1, "partition the keyspace into this many coteries")
+	fs.IntVar(&cfg.RF, "rf", 0, "replicas per shard (0 = default 3, clamped to cluster size)")
 	fs.Uint64Var(&cfg.MapVersion, "map-version", 0, "shard map version served to clients (0 = default 1)")
-	fs.IntVar(&cfg.MaxCoords, "max-coords", 0, "live coordinator cap in sharded mode (0 = default 4096)")
+	fs.IntVar(&cfg.MaxCoords, "max-coords", 0, "live coordinator cap (0 = default 4096)")
 	fs.DurationVar(&cfg.SlowReadDelay, "slow-read", 0, "inject this service delay before every client read (tail-latency experiments)")
 	if err := fs.Parse(args); err != nil {
 		return Config{}, err
@@ -61,7 +58,6 @@ func ParseFlags(args []string) (Config, error) {
 	}
 	cfg.Self = nodeset.ID(nodeID)
 	cfg.Addrs = addrs
-	cfg.Items = ItemNames(items)
 	if err := CheckCapacity(cfg.Strategy, capacity); err != nil {
 		return Config{}, err
 	}
@@ -170,16 +166,6 @@ func FormatCluster(addrs map[nodeset.ID]string) string {
 		parts[i] = fmt.Sprintf("%d=%s", id, addrs[nodeset.ID(id)])
 	}
 	return strings.Join(parts, ",")
-}
-
-// ItemNames returns the canonical item names item-0..item-(n-1) used by
-// every harness in this repo.
-func ItemNames(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("item-%d", i)
-	}
-	return names
 }
 
 // RunMain is the whole coteried entry point: parse flags, start, announce

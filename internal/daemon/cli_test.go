@@ -86,7 +86,6 @@ func TestDaemonRejectsUnknownStrategy(t *testing.T) {
 		d, err := Start(Config{
 			Self:     0,
 			Addrs:    book,
-			Items:    ItemNames(1),
 			Strategy: strategy,
 		})
 		if err == nil {
@@ -98,5 +97,20 @@ func TestDaemonRejectsUnknownStrategy(t *testing.T) {
 				t.Errorf("strategy %q: error %q does not name %q", strategy, err, valid)
 			}
 		}
+	}
+}
+
+// TestParseFlagsRejectsRetiredFlags: the fixed-item-list mode and the
+// dial-per-call switch are gone, so their flags must fail loudly rather
+// than be ignored.
+func TestParseFlagsRejectsRetiredFlags(t *testing.T) {
+	for _, args := range [][]string{{"-items", "4"}, {"-pipeline=false"}} {
+		if _, err := ParseFlags(append([]string{"-cluster", "0=127.0.0.1:7000"}, args...)); err == nil {
+			t.Errorf("ParseFlags accepted retired flag %v", args)
+		}
+	}
+	cfg, err := ParseFlags([]string{"-cluster", "0=127.0.0.1:7000"})
+	if err != nil || cfg.Shards != 1 {
+		t.Fatalf("default Shards = %d (err %v), want 1", cfg.Shards, err)
 	}
 }

@@ -1,27 +1,30 @@
 // Package daemon hosts one coterie replica node as a long-running network
-// process: a tcpnet transport serving the node's protocol handler, a
-// co-located coordinator per data item, and the capi client API routed
-// through a transport.Mux layered over the node's handler — typed client
-// messages (Read, Write, CheckEpoch, MapQuery) dispatch to the
+// process: a tcpnet transport serving the node's protocol handler,
+// co-located coordinators for the items it replicates, and the capi client
+// API routed through a transport.Mux layered over the node's handler —
+// typed client messages (Read, Write, CheckEpoch, MapQuery) dispatch to the
 // coordinators, and everything else falls through to the replica protocol.
 //
 // cmd/coteried wraps this package in a main; cmd/loadgen's -net tcp mode
 // spawns one daemon process per cluster member and drives them over
 // loopback.
 //
-// # Sharded mode
+// # Shards
 //
-// With Config.Shards > 0 the daemon serves a sharded keyspace instead of a
-// fixed item list: a placement.Map partitions all item names into Shards
-// independent coteries of RF nodes each (rendezvous hashing over the
-// address book), and this process hosts every shard whose coterie includes
-// Self. Nothing is instantiated up front — a million-item keyspace costs
-// nothing until touched:
+// A daemon serves a sharded keyspace: a placement.Map partitions all item
+// names into Config.Shards independent coteries of RF nodes each
+// (rendezvous hashing over the address book), and this process hosts every
+// shard whose coterie includes Self. The default, one shard, is the
+// paper's deployment: every item is replicated by one coterie (of RF
+// nodes, so on a cluster of RF nodes, all of them). Nothing is
+// instantiated up front — a million-item keyspace costs nothing until
+// touched:
 //
 //   - Replicas materialize on first touch, from either side: a client
 //     operation arriving here (the co-located coordinator creates the
 //     item), or a protocol message from a peer coordinator (the node's
-//     auto-create provisioner creates it).
+//     auto-create provisioner creates it). Every item starts as ItemSize
+//     zero bytes.
 //   - Coordinators — which carry combiner queues and layout caches — live
 //     in a bounded LRU (Config.MaxCoords); idle ones are dropped and
 //     rebuilt on demand, so per-shard combiner state never scales with
@@ -36,14 +39,14 @@
 // # Process restarts
 //
 // A daemon keeps no stable storage, so a killed-and-restarted process is
-// the paper's recovering replica: Config.Recovering (set by whoever
-// respawns it) wipes each item via Amnesia — the replica answers protocol
-// queries flagged as recovering and is excluded from quorums until an
-// epoch change readmits it and propagation rebuilds its value. The restart
-// also advances every item's operation-ID sequence past wall-clock
-// nanoseconds, so OpIDs minted by the new incarnation can never collide
-// with pre-crash OpIDs that survivors may still hold in lock tables and
-// decision logs.
+// the paper's recovering replica: with Config.Recovering (set by whoever
+// respawns it) every replica the new incarnation materializes is wiped
+// via Amnesia at creation — it answers protocol queries flagged as
+// recovering and is excluded from quorums until an epoch change readmits
+// it and propagation rebuilds its value. Creation also advances the
+// item's operation-ID sequence past wall-clock nanoseconds, so OpIDs
+// minted by the new incarnation can never collide with pre-crash OpIDs
+// that survivors may still hold in lock tables and decision logs.
 package daemon
 
 import (
@@ -76,12 +79,11 @@ type Config struct {
 	// Addrs is the full cluster address book (node ID → host:port),
 	// including Self's listen address.
 	Addrs map[nodeset.ID]string
-	// Members is the replica set of every item (defaults to the address
-	// book's keys).
+	// Members is the node universe the shard map places items on
+	// (defaults to the address book's keys).
 	Members nodeset.Set
-	// Items are the replicated data item names; each starts as ItemSize
-	// zero bytes on every member.
-	Items    []string
+	// ItemSize is every item's initial size: an item materializes as
+	// ItemSize zero bytes.
 	ItemSize int
 	// Recovering marks this process as a restart of a crashed instance.
 	Recovering bool
@@ -102,9 +104,6 @@ type Config struct {
 	BatchProp bool
 	// PoolSize is the pipelined-connections-per-peer count (0 = default).
 	PoolSize int
-	// Pipeline toggles transport pipelining (default true); the per-call
-	// baseline is only for benchmarks.
-	Pipeline bool
 	// Obs attaches a metrics registry; MetricsAddr additionally serves it
 	// over HTTP.
 	Obs         bool
@@ -121,18 +120,17 @@ type Config struct {
 	// address.
 	AdminAddr string
 
-	// Shards > 0 enables sharded mode (see the package comment): the
-	// keyspace is partitioned into this many independent coteries and
-	// Items is ignored. 0 keeps the legacy fixed-item-list behavior.
+	// Shards is how many independent coteries the keyspace is partitioned
+	// into (see the package comment; default 1).
 	Shards int
-	// RF is each shard's coterie size in sharded mode (default 3, clamped
-	// to the cluster size).
+	// RF is each shard's coterie size (default 3, clamped to the cluster
+	// size).
 	RF int
 	// MapVersion is the shard map version this daemon serves (default 1).
 	// All daemons of one deployment must agree on it; bumping it after a
 	// membership change is what makes stale clients refresh.
 	MapVersion uint64
-	// MaxCoords bounds live coordinators in sharded mode (default 4096);
+	// MaxCoords bounds live coordinators (default 4096);
 	// beyond it, idle coordinators are evicted LRU and rebuilt on demand.
 	MaxCoords int
 	// SlowReadDelay injects a service delay before every client read —
@@ -147,11 +145,8 @@ type Daemon struct {
 	node *replica.Node
 	cfg  Config
 
-	coords map[string]*core.Coordinator // legacy mode: fixed at Start
-
-	// Sharded mode: the map this daemon serves plus the lazy coordinator
-	// table. copts is the construction template for on-demand
-	// coordinators.
+	// The map this daemon serves plus the lazy coordinator table. copts is
+	// the construction template for on-demand coordinators.
 	pmap       *placement.Map
 	copts      core.Options
 	mu         sync.Mutex
@@ -169,7 +164,7 @@ type Daemon struct {
 	aln     net.Listener
 }
 
-// coordEntry is one live coordinator in the sharded daemon's LRU table.
+// coordEntry is one live coordinator in the daemon's LRU table.
 // touch and inflight are guarded by Daemon.mu; an entry is only evictable
 // when no operation holds it (inflight == 0).
 type coordEntry struct {
@@ -193,27 +188,25 @@ func (c Config) withDefaults() Config {
 			c.Members.Add(id)
 		}
 	}
-	if c.Shards > 0 {
-		if c.RF <= 0 {
-			c.RF = 3
-		}
-		if c.MapVersion == 0 {
-			c.MapVersion = 1
-		}
-		if c.MaxCoords <= 0 {
-			c.MaxCoords = 4096
-		}
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
+	if c.RF <= 0 {
+		c.RF = 3
+	}
+	if c.MapVersion == 0 {
+		c.MapVersion = 1
+	}
+	if c.MaxCoords <= 0 {
+		c.MaxCoords = 4096
 	}
 	return c
 }
 
-// Start builds and starts a daemon: transport, node, items, coordinators,
-// client API, listeners.
+// Start builds and starts a daemon: transport, node, shard map, client
+// API, listeners.
 func Start(cfg Config) (*Daemon, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Items) == 0 && cfg.Shards == 0 {
-		return nil, fmt.Errorf("daemon: no items configured")
-	}
 	if _, ok := cfg.Addrs[cfg.Self]; !ok {
 		return nil, fmt.Errorf("daemon: no address for self (node %d)", cfg.Self)
 	}
@@ -228,7 +221,7 @@ func Start(cfg Config) (*Daemon, error) {
 		reg = obs.New()
 		reg.SetFlight(obs.NewFlightRecorder(256))
 	}
-	topts := []tcpnet.Option{tcpnet.WithPipeline(cfg.Pipeline)}
+	var topts []tcpnet.Option
 	if reg != obs.Nop {
 		topts = append(topts, tcpnet.WithObs(reg))
 	}
@@ -253,43 +246,25 @@ func Start(cfg Config) (*Daemon, error) {
 		// hitting regardless of quorum rotation.
 		PushUpdates: true,
 	}
-	d := &Daemon{Net: tnet, Reg: reg, node: node, cfg: cfg, copts: copts,
-		coords: make(map[string]*core.Coordinator, len(cfg.Items))}
-
-	if cfg.Shards > 0 {
-		pmap, err := placement.New(cfg.Members, cfg.Shards, cfg.RF, cfg.MapVersion)
-		if err != nil {
-			node.Close()
-			tnet.Close()
-			return nil, err
-		}
-		d.pmap = pmap
-		d.entries = make(map[string]*coordEntry)
-		d.coordBuilt = reg.Counter("coteried_coord_built_total")
-		d.coordEvict = reg.Counter("coteried_coord_evicted_total")
-		d.coordLive = reg.Gauge("coteried_coords_live")
-		// Peer coordinators materialize replicas here on first touch; the
-		// provisioner enforces shard ownership so a confused peer cannot
-		// plant an item this node does not own.
-		node.SetAutoCreate(func(name string) *replica.Item {
-			rep, _ := d.provisionReplica(name)
-			return rep
-		})
-	} else {
-		for _, name := range cfg.Items {
-			rep, err := node.AddItem(name, cfg.Members, make([]byte, cfg.ItemSize))
-			if err != nil {
-				node.Close()
-				tnet.Close()
-				return nil, err
-			}
-			d.coords[name] = core.NewCoordinator(rep, tnet, cfg.Members, copts)
-			if cfg.Recovering {
-				rep.Amnesia()
-				rep.AdvanceOpSeq(uint64(time.Now().UnixNano()))
-			}
-		}
+	pmap, err := placement.New(cfg.Members, cfg.Shards, cfg.RF, cfg.MapVersion)
+	if err != nil {
+		node.Close()
+		tnet.Close()
+		return nil, err
 	}
+	d := &Daemon{Net: tnet, Reg: reg, node: node, cfg: cfg, copts: copts, pmap: pmap,
+		entries:    make(map[string]*coordEntry),
+		coordBuilt: reg.Counter("coteried_coord_built_total"),
+		coordEvict: reg.Counter("coteried_coord_evicted_total"),
+		coordLive:  reg.Gauge("coteried_coords_live"),
+	}
+	// Peer coordinators materialize replicas here on first touch; the
+	// provisioner enforces shard ownership so a confused peer cannot plant
+	// an item this node does not own.
+	node.SetAutoCreate(func(name string) *replica.Item {
+		rep, _ := d.provisionReplica(name)
+		return rep
+	})
 
 	// Client API over the node's protocol handler: typed capi routes plus
 	// the node as the default route, re-registered at the node's endpoint.
@@ -362,24 +337,21 @@ func PprofMux() *http.ServeMux {
 }
 
 // Coordinator returns the coordinator for the named item (tests and
-// embedding harnesses). In sharded mode this only reports a coordinator
-// already materialized by traffic; it never instantiates one.
+// embedding harnesses). It only reports a coordinator already materialized
+// by traffic; it never instantiates one.
 func (d *Daemon) Coordinator(item string) *core.Coordinator {
-	if d.pmap != nil {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if e := d.entries[item]; e != nil {
-			return e.co
-		}
-		return nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if e := d.entries[item]; e != nil {
+		return e.co
 	}
-	return d.coords[item]
+	return nil
 }
 
-// Map returns the shard map this daemon serves, or nil in legacy mode.
+// Map returns the shard map this daemon serves.
 func (d *Daemon) Map() *placement.Map { return d.pmap }
 
-// LiveCoordinators reports the sharded daemon's materialized coordinator
+// LiveCoordinators reports the daemon's materialized coordinator
 // count (tests and capacity diagnostics).
 func (d *Daemon) LiveCoordinators() int {
 	d.mu.Lock()
@@ -391,8 +363,10 @@ func (d *Daemon) LiveCoordinators() int {
 // embedding harnesses).
 func (d *Daemon) Item(name string) *replica.Item { return d.node.Item(name) }
 
-// Close shuts the daemon down: client API stops, background protocol work
-// stops, every connection dies.
+// Close shuts the daemon down: client API stops, every connection dies,
+// background protocol work stops. The transport closes first and waits
+// for its in-flight handlers, so no served request can touch an item while
+// the node closes it.
 func (d *Daemon) Close() {
 	if d.metrics != nil {
 		d.metrics.Close()
@@ -406,8 +380,8 @@ func (d *Daemon) Close() {
 		d.admin.Close()
 		d.aln.Close()
 	}
-	d.node.Close()
 	d.Net.Close()
+	d.node.Close()
 }
 
 // status maps a coordinator error onto the client API's taxonomy. The
@@ -425,7 +399,7 @@ func status(err error) (capi.Status, string) {
 	}
 }
 
-// provisionReplica materializes this node's replica of a sharded item,
+// provisionReplica materializes this node's replica of an item,
 // refusing items whose shard this node does not own. Exactly one racing
 // caller performs creation; a recovering daemon's creation-time Amnesia
 // runs there, so a restarted process's lazily reborn replicas answer as
@@ -447,18 +421,11 @@ func (d *Daemon) provisionReplica(item string) (*replica.Item, error) {
 	return rep, nil
 }
 
-// coordFor resolves the coordinator serving item: the fixed table in
-// legacy mode, the lazy LRU in sharded mode. In sharded mode the returned
+// coordFor resolves the coordinator serving item from the lazy LRU
+// table, building it (and the replica) on first touch. The returned
 // context carries the shard's steering key, and release must be called
 // when the operation finishes (it unpins the entry for eviction).
 func (d *Daemon) coordFor(ctx context.Context, item string) (co *core.Coordinator, opCtx context.Context, release func(), st capi.Status, detail string) {
-	if d.pmap == nil {
-		co, ok := d.coords[item]
-		if !ok {
-			return nil, ctx, nil, capi.StatusError, "unknown item " + item
-		}
-		return co, ctx, func() {}, capi.StatusOK, ""
-	}
 	shard := d.pmap.ShardOf(item)
 	if !d.pmap.Owns(d.cfg.Self, shard) {
 		return nil, ctx, nil, capi.StatusWrongShard,
@@ -521,12 +488,8 @@ func (d *Daemon) maybeEvictLocked() {
 	d.coordLive.Set(int64(len(d.entries)))
 }
 
-// handleMapQuery serves the daemon's shard map. A non-sharded daemon
-// answers NumShards == 0, which a smart client reports as "not sharded".
+// handleMapQuery serves the daemon's shard map.
 func (d *Daemon) handleMapQuery(capi.MapQuery) capi.MapReply {
-	if d.pmap == nil {
-		return capi.MapReply{}
-	}
 	return capi.MapReply{
 		Version:   d.pmap.Version(),
 		NumShards: uint32(d.pmap.NumShards()),

@@ -45,14 +45,14 @@ func (n *Network) Start() error {
 		n.lnMu.Lock()
 		n.listeners = append(n.listeners, ln)
 		n.lnMu.Unlock()
-		n.lnWG.Add(1)
+		n.serveWG.Add(1)
 		go n.acceptLoop(ln, ep)
 	}
 	return nil
 }
 
 func (n *Network) acceptLoop(ln net.Listener, ep *localEndpoint) {
-	defer n.lnWG.Done()
+	defer n.serveWG.Done()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -73,6 +73,7 @@ func (n *Network) acceptLoop(ln net.Listener, ep *localEndpoint) {
 			nc.Close()
 			return
 		}
+		n.serveWG.Add(1)
 		go sc.readLoop()
 		go n.writeRing(sc.nc, sc.out, sc.close)
 	}
@@ -142,6 +143,7 @@ func (sc *serverConn) close() {
 }
 
 func (sc *serverConn) readLoop() {
+	defer sc.n.serveWG.Done()
 	defer sc.close()
 	fr := newFrameReader(sc.nc)
 	for {
@@ -187,17 +189,22 @@ func (sc *serverConn) dispatch(rq srvReq) {
 		return
 	}
 	sc.idle.Add(1)
+	sc.n.serveWG.Add(1)
 	if sc.workers.Add(1) <= maxServeWorkers {
 		go sc.worker(rq)
 		return
 	}
 	sc.workers.Add(-1)
-	go sc.serveOne(rq) // overflow: plain goroutine-per-request
+	go func() { // overflow: plain goroutine-per-request
+		defer sc.n.serveWG.Done()
+		sc.serveOne(rq)
+	}()
 }
 
 // worker serves its first request, then parks for more until the
 // connection closes.
 func (sc *serverConn) worker(rq srvReq) {
+	defer sc.n.serveWG.Done()
 	sc.serveOne(rq)
 	for {
 		sc.idle.Add(1)

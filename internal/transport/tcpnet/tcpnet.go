@@ -99,7 +99,11 @@ type Network struct {
 	lnMu      sync.Mutex
 	listeners []net.Listener
 	conns     map[*serverConn]struct{}
-	lnWG      sync.WaitGroup
+	// serveWG counts every serving goroutine: accept loops, connection
+	// read loops and request handlers. Each Add is made by a goroutine the
+	// group already counts (or by Start), so Close's Wait never races an
+	// Add from zero.
+	serveWG sync.WaitGroup
 
 	// Always-real counters (Stats must work without a registry); WithObs
 	// adopts the same cells so metrics and Stats read identical state.
@@ -627,7 +631,10 @@ func (n *Network) MulticastFunc(ctx context.Context, from nodeset.ID, targets no
 
 // Close shuts the transport down: cancels every served handler context,
 // stops listeners, and closes every connection in both directions.
-// In-flight calls fail with ErrCallFailed.
+// In-flight calls fail with ErrCallFailed. It returns only after every
+// in-flight handler has returned, so the caller may then tear down what
+// the handlers use; a handler must therefore return once its context is
+// done (canceled here, or past the caller's propagated deadline).
 func (n *Network) Close() error {
 	select {
 	case <-n.closed:
@@ -659,7 +666,7 @@ func (n *Network) Close() error {
 	// into a connection that will drop their response, exactly as a real
 	// crash would.
 	n.cancel()
-	n.lnWG.Wait()
+	n.serveWG.Wait()
 	return nil
 }
 

@@ -121,7 +121,7 @@ func (s spec) args(d time.Duration) []string {
 		"-nodes", "3", "-items", strconv.Itoa(s.items), "-workers", strconv.Itoa(s.workers),
 		"-disjoint", "-read-frac", "0.5"}
 	if s.transport != "sim" {
-		args = append(args, "-net", "tcp", "-pipeline=true")
+		args = append(args, "-net", "tcp")
 	}
 	if s.churn > 0 {
 		args = append(args, "-churn", s.churn.String())

@@ -80,7 +80,7 @@ func (s spec) args() []string {
 		"-nodes", strconv.Itoa(s.nodes),
 		"-shards", strconv.Itoa(s.shards),
 		"-rf", strconv.Itoa(s.rf),
-		"-keyspace", strconv.Itoa(s.keyspace),
+		"-items", strconv.Itoa(s.keyspace), "-zipf-items",
 		"-workers", strconv.Itoa(s.workers),
 		"-read-frac", fmt.Sprintf("%g", s.readFrac),
 		"-item-size", "32",

@@ -78,7 +78,7 @@ func main() {
 
 	rep := report{
 		Benchmark: "BENCH_8 observability plane overhead + hedge attribution",
-		Workload:  "loadgen -net tcp -batch -shards 8 -nodes 4 -rf 3 -workers 8 -keyspace 2000 -read-frac 0.5",
+		Workload:  "loadgen -net tcp -batch -shards 8 -nodes 4 -rf 3 -workers 8 -items 2000 -zipf-items -read-frac 0.5",
 		Trials:    *trials,
 		Duration:  duration.String(),
 		Gate:      "plane overhead <= 2% of dark throughput",
@@ -157,7 +157,7 @@ func main() {
 func runOnce(plane, hedge bool, d time.Duration) (loadgenOut, error) {
 	args := []string{"run", "./cmd/loadgen",
 		"-net", "tcp", "-batch", "-shards", "8", "-nodes", "4", "-rf", "3",
-		"-workers", "8", "-keyspace", "2000", "-read-frac", "0.5",
+		"-workers", "8", "-items", "2000", "-zipf-items", "-read-frac", "0.5",
 		"-item-size", "32",
 		"-duration", d.String(),
 		fmt.Sprintf("-admin=%v", plane),
