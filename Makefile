@@ -37,67 +37,76 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable1Dynamic|BenchmarkSimAvailability' -benchmem -count=5 -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumMessages' -benchmem -count=5 -benchtime=50x .
 
+# The bench-* targets run suites of the one benchmark driver,
+# scripts/bench: each builds cmd/loadgen once, keeps every cell's best
+# trial, and writes BENCH_<suite>.json with a stamp (commit, Go version,
+# NumCPU), the kept cells and a gates array. A gate marked fatal exits 1
+# on a miss; any other miss warns. -smoke variants write no file.
+
 # bench-obs measures the observability overhead — loadgen with the full
 # registry + flight recorder vs obs.Nop, at GOMAXPROCS=1 and 4 — and writes
-# BENCH_3.json. The budget is 5% (DESIGN.md §7).
+# BENCH_obs.json. The budget is 5% (DESIGN.md §7); a miss warns.
 bench-obs:
-	$(GO) run ./scripts/benchobs -duration 2s -trials 3
+	$(GO) run ./scripts/bench -suite obs
 
 # bench-batch measures the group-commit write pipeline — loadgen with
 # batching off vs on, contended and disjoint, at GOMAXPROCS=1 and 4 — and
-# writes BENCH_4.json. Gates: >= 1.5x contended at GOMAXPROCS=4, no
-# meaningful disjoint regression (DESIGN.md §8).
+# writes BENCH_batch.json. Gate: >= 1.5x contended at GOMAXPROCS=4; a miss
+# warns (DESIGN.md §8).
 bench-batch:
-	$(GO) run ./scripts/benchbatch -duration 2s -trials 3
+	$(GO) run ./scripts/bench -suite batch
 
 # bench-net measures the networked hot path — tcp-pipelined loadgen vs the
 # BENCH_5 baseline, a 1->4 core scaling curve at 8 workers per core, a
 # crash/recovery churn run, and a sim run for the sim-vs-TCP gap — and
-# writes BENCH_6.json. Gates: >= 3x BENCH_5 tcp-pipelined ops/sec at
-# GOMAXPROCS=1, monotone non-decreasing scaling, zero one-copy violations
-# under churn (DESIGN.md §10, EXPERIMENTS.md BENCH_6).
+# writes BENCH_net.json. Gates: >= 3x BENCH_5 tcp-pipelined ops/sec at
+# GOMAXPROCS=1 and monotone non-decreasing scaling (misses warn), zero
+# one-copy violations under churn (fatal; DESIGN.md §10, EXPERIMENTS.md
+# BENCH_6).
 bench-net:
-	$(GO) run ./scripts/benchnet -duration 3s -trials 3
+	$(GO) run ./scripts/bench -suite net
 
 # bench-shard measures the horizontally sharded data plane — a million-key
 # Zipfian sweep over 4 daemons with stride-sampled one-copy checking, an
 # unsharded-vs-sharded throughput comparison on the same hardware, and a
 # hedged-reads run against a deliberately slow daemon — and writes
-# BENCH_7.json. Gates: full keyspace coverage with zero violations,
-# >= 1.8x sharded speedup, >= 30% read-p99 cut from hedging (DESIGN.md
-# §11, EXPERIMENTS.md BENCH_7).
+# BENCH_shard.json. Gates, all fatal: full keyspace coverage with zero
+# violations, >= 1.8x sharded speedup, >= 30% read-p99 cut from hedging
+# (DESIGN.md §11, EXPERIMENTS.md BENCH_7).
 bench-shard:
-	$(GO) run ./scripts/benchshard -duration 5s -trials 2
+	$(GO) run ./scripts/bench -suite shard
 
 # bench-shard-smoke is the CI-sized version: a 2000-key sweep plus the
 # hedging section, gating coverage, zero violations and the p99 cut; no
 # report file.
 bench-shard-smoke:
-	$(GO) run ./scripts/benchshard -smoke
+	$(GO) run ./scripts/bench -suite shard -smoke
 
 # bench-trace measures the observability-plane overhead on the networked
 # data path — sharded TCP loadgen dark vs with per-daemon admin endpoints,
 # 1-in-16 trace sampling and the post-run cluster scrape — plus a hedged
 # run that must produce non-zero hedge-attribution counters, and writes
-# BENCH_8.json. Gate: <= 2% overhead (DESIGN.md §12).
+# BENCH_trace.json. Gates: <= 2% overhead, non-zero hedge counters; misses
+# warn (DESIGN.md §12).
 bench-trace:
-	$(GO) run ./scripts/benchtrace -duration 3s -trials 3
+	$(GO) run ./scripts/bench -suite trace
 
 # bench-quorum measures the quorum strategies (hint / load / optimized) —
 # a strategy x workload loadgen matrix (uniform / zipf / slow-member /
 # 95%-read) at GOMAXPROCS=4 plus the predicted-vs-measured availability
-# table at the paper's Table 1 operating point — and writes BENCH_9.json.
-# Gates: optimized >= 1.15x load-aware ops/sec under tail injection at
-# equal-or-better read p99; optimized read p99 <= 0.8x load-aware's on
-# the 95/5 mix (DESIGN.md §13, EXPERIMENTS.md BENCH_9).
+# table at the paper's Table 1 operating point — and writes
+# BENCH_quorum.json. Gates: optimized >= 1.15x load-aware ops/sec under
+# tail injection at equal-or-better read p99; optimized read p99 <= 0.8x
+# load-aware's on the 95/5 mix. Misses warn here and are fatal in the
+# smoke run (DESIGN.md §13, EXPERIMENTS.md BENCH_9).
 bench-quorum:
-	$(GO) run ./scripts/benchquorum -duration 3s -trials 3
+	$(GO) run ./scripts/bench -suite quorum
 
 # bench-quorum-smoke is the CI-sized version: only the two gated
 # scenarios over the strategies the gates compare (load, optimized), with
 # a short availability horizon and no report file; fails on a gate miss.
 bench-quorum-smoke:
-	$(GO) run ./scripts/benchquorum -smoke
+	$(GO) run ./scripts/bench -suite quorum -smoke
 
 # check-admin smokes the admin plane: an in-process 3-daemon cluster with
 # admin endpoints, fully-sampled client traffic, every route on every
@@ -106,8 +115,8 @@ check-admin:
 	$(GO) run ./scripts/checkadmin
 
 # profile-net captures a CPU profile of the networked hot path: a
-# tcp-pipelined loadgen run serves pprof on 127.0.0.1:6161 (its daemons on
-# 6162+) and the client process is sampled mid-run. The flat top lands on
+# tcp-pipelined loadgen run serves pprof on 127.0.0.1:6161 (its daemons'
+# admin planes on 6162+) and the client process is sampled mid-run. The flat top lands on
 # stdout; the raw profile stays under $$HOME/pprof for `go tool pprof`.
 profile-net:
 	$(GO) build -o /tmp/coterie-loadgen ./cmd/loadgen

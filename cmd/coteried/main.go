@@ -11,8 +11,11 @@
 //	coteried -node 0 -cluster 0=127.0.0.1:7000,1=127.0.0.1:7001,2=127.0.0.1:7002
 //
 // On startup the daemon prints "READY <node> <addr>" to stdout once it is
-// serving; spawning harnesses (cmd/loadgen -net tcp, scripts/benchnet)
-// wait for that line. SIGINT/SIGTERM shut it down gracefully.
+// serving (with -admin, followed by "admin=<addr>"); spawning harnesses
+// such as cmd/loadgen -net tcp wait for that line. Metrics, traces and
+// pprof profiles are served only by the admin plane (-admin ADDR:
+// /metrics, /traces, /healthz, /debug/pprof). SIGINT/SIGTERM shut it down
+// gracefully.
 //
 // A restarted daemon has lost its in-memory replica state; restart it
 // with -recovering so it rejoins as the paper's recovering replica

@@ -21,14 +21,14 @@
 // latency is measured from each operation's scheduled arrival, so backlog
 // shows up in the tail percentiles.
 //
-// The group-commit pipeline is driven by -batch (with -batch-max and
-// -batch-queue sizing the combiner); in the sim plane it merges best when
-// -affinity routes all writes for an item through one coordinator (the
-// capi client already does so on tcp). -strategy selects quorum picking:
-// "hint" rotates pseudo-randomly, "load" steers toward the least-loaded
-// endpoints via a shared EWMA load tracker, and "optimized" samples a
-// solved capacity-weighted quorum distribution (node capacities from
-// -capacity). -batch-prop batches stale propagation per target node.
+// The group-commit pipeline is driven by -batch; in the sim plane it
+// merges best when -affinity routes all writes for an item through one
+// coordinator (the capi client already does so on tcp). -strategy selects
+// quorum picking: "hint" rotates pseudo-randomly, "load" steers toward
+// the least-loaded endpoints via a shared EWMA load tracker, and
+// "optimized" samples a solved capacity-weighted quorum distribution
+// (node capacities from -capacity). -batch-prop batches stale propagation
+// per target node.
 //
 // Observability (-obs, on by default) attaches the obs registry to every
 // layer (and, in the sim plane, a flight recorder); -metrics ADDR
@@ -96,8 +96,6 @@ type config struct {
 	churn       time.Duration
 	traceCap    int
 	batch       bool
-	batchMax    int
-	batchQueue  int
 	strategy    string
 	capacity    string
 	affinity    bool
@@ -289,15 +287,13 @@ func parseFlags(args []string) (config, error) {
 	fs.DurationVar(&cfg.churn, "churn", 0, "crash/restart a node with epoch checks at this cadence (0 = none)")
 	fs.IntVar(&cfg.traceCap, "trace-cap", 256, "flight recorder ring capacity")
 	fs.BoolVar(&cfg.batch, "batch", false, "enable the group-commit write combiner")
-	fs.IntVar(&cfg.batchMax, "batch-max", 0, "max writes merged per batched protocol round (0 = core default)")
-	fs.IntVar(&cfg.batchQueue, "batch-queue", 0, "combiner queue depth before writers overflow to the single-write path (0 = core default)")
 	fs.StringVar(&cfg.strategy, "strategy", "hint", "quorum selection strategy: hint (pseudo-random rotation), load (least-loaded via EWMA) or optimized (capacity-weighted quorum distribution)")
 	fs.StringVar(&cfg.capacity, "capacity", "", "relative node capacities for -strategy optimized: id=weight,... (unlisted nodes are 1.0)")
 	fs.BoolVar(&cfg.affinity, "affinity", false, "sim plane: route all writes for an item through one coordinator so group commit can merge them")
 	fs.BoolVar(&cfg.batchProp, "batch-prop", false, "batch stale propagation per target node")
 	fs.IntVar(&cfg.slowNode, "slow-node", -1, "node ID to slow down with -slow-read (-1 = none)")
 	fs.DurationVar(&cfg.slowRead, "slow-read", 0, "injected service delay on the -slow-node node (sim: every message it serves; tcp: every client read)")
-	fs.IntVar(&cfg.pprofPort, "pprof", 0, "serve net/http/pprof on 127.0.0.1:PORT (tcp plane: daemon i serves on PORT+1+i)")
+	fs.IntVar(&cfg.pprofPort, "pprof", 0, "serve net/http/pprof on 127.0.0.1:PORT (tcp plane: daemon i's admin plane binds PORT+1+i)")
 	fs.StringVar(&cfg.compare, "compare", "", "JSON result of a previous run to report the per-transport latency gap against (e.g. a -net sim result while running -net tcp)")
 	fs.StringVar(&cfg.netMode, "net", "sim", "data plane: sim (in-process simulated network) or tcp (spawn coteried daemons and drive them over loopback)")
 	fs.IntVar(&cfg.pool, "pool", 0, "tcp plane: pipelined connections per peer (0 = transport default)")

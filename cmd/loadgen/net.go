@@ -116,12 +116,6 @@ func spawnDaemon(exe string, id nodeset.ID, book map[nodeset.ID]string, cfg conf
 	}
 	if cfg.batch {
 		args = append(args, "-batch")
-		if cfg.batchMax > 0 {
-			args = append(args, "-batch-max", strconv.Itoa(cfg.batchMax))
-		}
-		if cfg.batchQueue > 0 {
-			args = append(args, "-batch-queue", strconv.Itoa(cfg.batchQueue))
-		}
 	}
 	if cfg.batchProp {
 		args = append(args, "-batch-prop")
@@ -132,10 +126,12 @@ func spawnDaemon(exe string, id nodeset.ID, book map[nodeset.ID]string, cfg conf
 	if recovering {
 		args = append(args, "-recovering")
 	}
-	if cfg.pprofPort > 0 {
-		args = append(args, "-pprof", fmt.Sprintf("127.0.0.1:%d", cfg.pprofPort+1+int(id)))
-	}
-	if cfg.adminOn {
+	switch {
+	case cfg.pprofPort > 0:
+		// A fixed port per daemon, so a profiler can be pointed at it:
+		// the admin plane serves /debug/pprof.
+		args = append(args, "-admin", fmt.Sprintf("127.0.0.1:%d", cfg.pprofPort+1+int(id)))
+	case cfg.adminOn:
 		// Ephemeral port: the READY line reports the bound address, so
 		// spawner and daemon never race on port reservation.
 		args = append(args, "-admin", "127.0.0.1:0")

@@ -61,12 +61,8 @@ func newSimPlane(cfg config, strategy core.QuorumStrategy, reg *obs.Registry) (*
 		// One engine across every coordinator of every item: they all
 		// steer by the same observed load, and per-coordinator engines
 		// would multiply the solves by nodes×items.
-		Engine: core.NewStrategyEngine(strategy, netw, members, caps, reg),
-		GroupCommit: core.GroupCommitOptions{
-			Enabled:  cfg.batch,
-			MaxBatch: cfg.batchMax,
-			MaxQueue: cfg.batchQueue,
-		},
+		Engine:      core.NewStrategyEngine(strategy, netw, members, caps, reg),
+		GroupCommit: cfg.batch,
 	}
 	p := &simPlane{cfg: cfg, netw: netw, nodes: make([]*replica.Node, cfg.nodes)}
 	for i := range p.nodes {

@@ -409,14 +409,22 @@ func (c *Client) CheckEpoch(ctx context.Context, item string) (CheckReply, error
 	return CheckReply{}, fmt.Errorf("capi: epoch check %q failed: %w", item, lastErr)
 }
 
-// itemAffinity hashes an item name to a stable member offset (FNV-1a),
-// giving every client the same per-item write coordinator without
-// coordination.
+// itemAffinity hashes an item name to a stable member offset (FNV-1a,
+// then the splitmix64 finalizer), giving every client the same per-item
+// write coordinator without coordination. The finalizer matters: raw
+// FNV-1a's low bits barely move across sequential names such as k0..k999,
+// so reducing it modulo a small member count piles most items onto one
+// member.
 func itemAffinity(item string) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(item); i++ {
 		h = (h ^ uint64(item[i])) * 1099511628211
 	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
 	return int(h % uint64(1<<31))
 }
 

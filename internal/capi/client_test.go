@@ -319,3 +319,27 @@ func TestStaleMapRedirectSelfHeals(t *testing.T) {
 		t.Fatalf("read after redirect: err=%v status=%v value=%q", err, r.Status, r.Value)
 	}
 }
+
+// TestItemAffinitySpreadsSequentialNames pins the write-affinity hash's
+// balance over the item names loadgen and the benchmarks use: every member
+// of a 2-, 3- or 4-member coterie must coordinate at least half its even
+// share of 1000 sequential names. Raw FNV-1a reduced modulo the member
+// count fails this (k0..k999 split 0/90/910 over three members).
+func TestItemAffinitySpreadsSequentialNames(t *testing.T) {
+	const names = 1000
+	for _, prefix := range []string{"k", "item-"} {
+		for _, members := range []int{2, 3, 4} {
+			counts := make([]int, members)
+			for i := 0; i < names; i++ {
+				counts[itemAffinity(prefix+strconv.Itoa(i))%members]++
+			}
+			floor := names / members / 2
+			for m, n := range counts {
+				if n < floor {
+					t.Errorf("%s<n> over %d members: member %d coordinates %d names, want >= %d (split %v)",
+						prefix, members, m, n, floor, counts)
+				}
+			}
+		}
+	}
+}

@@ -36,6 +36,14 @@ import (
 // the single-write flow. Never returned to callers.
 var errBatchRetry = errors.New("core: batch aborted, retry writes individually")
 
+const (
+	// maxBatch caps the writes merged into one protocol round.
+	maxBatch = 32
+	// maxQueue caps the writers waiting to be batched; beyond it writers
+	// overflow to the single-write path instead of queueing.
+	maxQueue = 4 * maxBatch
+)
+
 // pendingWrite is one queued writer. done is a 1-buffered channel created
 // once per pooled instance; the leader sends exactly one completion on it
 // per submission.
@@ -73,8 +81,8 @@ type combiner struct {
 	updates []replica.Update
 }
 
-func newCombiner(c *Coordinator, o GroupCommitOptions) *combiner {
-	b := &combiner{c: c, maxBatch: o.MaxBatch, maxQueue: o.MaxQueue}
+func newCombiner(c *Coordinator) *combiner {
+	b := &combiner{c: c, maxBatch: maxBatch, maxQueue: maxQueue}
 	b.exec = c.executeBatch
 	return b
 }

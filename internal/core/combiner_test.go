@@ -15,7 +15,7 @@ import (
 
 func batchOptions() Options {
 	o := fastOptions()
-	o.GroupCommit = GroupCommitOptions{Enabled: true}
+	o.GroupCommit = true
 	o.Obs = obs.New()
 	return o
 }
@@ -112,10 +112,7 @@ func TestGroupCommitEquivalence(t *testing.T) {
 // writer retries until its update commits; the value composition proves
 // nothing was lost.
 func TestGroupCommitQueueOverflow(t *testing.T) {
-	opts := batchOptions()
-	opts.GroupCommit.MaxBatch = 2
-	opts.GroupCommit.MaxQueue = 2
-	c, err := NewCluster(9, "item", make([]byte, 16), opts)
+	c, err := NewCluster(9, "item", make([]byte, 16), batchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +120,7 @@ func TestGroupCommitQueueOverflow(t *testing.T) {
 
 	const K = 8
 	coord := c.Coordinator(0)
+	coord.combiner.maxBatch, coord.combiner.maxQueue = 2, 2
 	ctx := ctxT(t)
 	var wg sync.WaitGroup
 	errs := make([]error, K)

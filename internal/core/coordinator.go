@@ -61,8 +61,8 @@ func NewCoordinator(item *replica.Item, net transport.Net, all nodeset.Set, opts
 		strat:   opts.Engine,
 	}
 	c.async, _ = net.(transport.AsyncSender)
-	if opts.GroupCommit.Enabled && opts.SafetyThreshold <= 0 {
-		c.combiner = newCombiner(c, opts.GroupCommit)
+	if opts.GroupCommit && opts.SafetyThreshold <= 0 {
+		c.combiner = newCombiner(c)
 	}
 	return c
 }

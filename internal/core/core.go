@@ -96,25 +96,6 @@ func ParseStrategy(s string) (QuorumStrategy, error) {
 	return 0, errors.New("core: unknown strategy " + s + " (want hint, load or optimized)")
 }
 
-// GroupCommitOptions configures the coordinator's write combiner (see
-// combiner.go). Group commit is a liveness/throughput optimization only;
-// it changes which protocol rounds carry an update, never the outcome a
-// writer observes.
-type GroupCommitOptions struct {
-	// Enabled turns the combiner on. Writes issued concurrently against
-	// the same coordinator then merge into batched protocol rounds.
-	// Ignored when SafetyThreshold > 0: the Section 4.1 extension is
-	// defined per single update, so such configurations keep the
-	// single-write flow.
-	Enabled bool
-	// MaxBatch caps the writes merged into one protocol round. Default 32.
-	MaxBatch int
-	// MaxQueue caps the writers waiting to be batched; beyond it writers
-	// overflow to the single-write path instead of queueing. Default
-	// 4*MaxBatch.
-	MaxQueue int
-}
-
 // Options configures coordinators.
 type Options struct {
 	// Rule is the coterie rule imposed on epoch lists. Default: the grid
@@ -145,8 +126,14 @@ type Options struct {
 	// (Replica.Obs) and, in NewCluster, to the transport. Default nil
 	// (obs.Nop): every recording site is a no-op.
 	Obs *obs.Registry
-	// GroupCommit configures the write combiner.
-	GroupCommit GroupCommitOptions
+	// GroupCommit turns on the coordinator's write combiner (see
+	// combiner.go): writes issued concurrently against the same
+	// coordinator merge into batched protocol rounds. Group commit is a
+	// liveness/throughput optimization only; it changes which protocol
+	// rounds carry an update, never the outcome a writer observes. Ignored
+	// when SafetyThreshold > 0: the Section 4.1 extension is defined per
+	// single update, so such configurations keep the single-write flow.
+	GroupCommit bool
 	// Strategy selects how quorums are picked from a layout's candidates.
 	// Default StrategyHint. Only NewCluster reads it, to build Engine; a
 	// coordinator picks through Engine alone.
@@ -174,14 +161,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CommitRetries == 0 {
 		o.CommitRetries = 3
-	}
-	if o.GroupCommit.Enabled {
-		if o.GroupCommit.MaxBatch <= 0 {
-			o.GroupCommit.MaxBatch = 32
-		}
-		if o.GroupCommit.MaxQueue <= 0 {
-			o.GroupCommit.MaxQueue = 4 * o.GroupCommit.MaxBatch
-		}
 	}
 	if o.Replica.LockLease == 0 {
 		// An unprepared lock hold must survive the slowest possible path

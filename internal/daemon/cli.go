@@ -32,14 +32,10 @@ func ParseFlags(args []string) (Config, error) {
 	fs.DurationVar(&cfg.CallTimeout, "call-timeout", 250*time.Millisecond, "per-RPC-round timeout (also scales lock leases)")
 	fs.StringVar(&cfg.Strategy, "strategy", "hint", "quorum selection strategy: hint, load or optimized")
 	fs.StringVar(&capacity, "capacity", "", "relative node capacities for -strategy optimized: id=weight,... (unlisted nodes are 1.0)")
-	fs.BoolVar(&cfg.GroupCommit.Enabled, "batch", false, "enable the group-commit write combiner")
-	fs.IntVar(&cfg.GroupCommit.MaxBatch, "batch-max", 0, "max writes merged per batched round (0 = default)")
-	fs.IntVar(&cfg.GroupCommit.MaxQueue, "batch-queue", 0, "combiner queue depth (0 = default)")
+	fs.BoolVar(&cfg.GroupCommit, "batch", false, "enable the group-commit write combiner")
 	fs.BoolVar(&cfg.BatchProp, "batch-prop", false, "batch stale propagation per target node")
 	fs.IntVar(&cfg.PoolSize, "pool", 0, "pipelined connections per peer (0 = default)")
 	fs.BoolVar(&cfg.Obs, "obs", true, "attach the observability registry")
-	fs.StringVar(&cfg.MetricsAddr, "metrics", "", "serve live metrics over HTTP on this address")
-	fs.StringVar(&cfg.PprofAddr, "pprof", "", "serve net/http/pprof profiling on this address")
 	fs.StringVar(&cfg.AdminAddr, "admin", "", "serve the admin plane (/metrics /traces /healthz /debug/pprof) on this address")
 	fs.IntVar(&cfg.Shards, "shards", 1, "partition the keyspace into this many coteries")
 	fs.IntVar(&cfg.RF, "rf", 0, "replicas per shard (0 = default 3, clamped to cluster size)")

@@ -100,11 +100,16 @@ func TestDaemonRejectsUnknownStrategy(t *testing.T) {
 	}
 }
 
-// TestParseFlagsRejectsRetiredFlags: the fixed-item-list mode and the
-// dial-per-call switch are gone, so their flags must fail loudly rather
-// than be ignored.
+// TestParseFlagsRejectsRetiredFlags: the fixed-item-list mode, the
+// dial-per-call switch, the combiner sizing knobs and the standalone
+// metrics and pprof listeners (the admin plane serves both) are gone, so
+// their flags must fail loudly rather than be ignored.
 func TestParseFlagsRejectsRetiredFlags(t *testing.T) {
-	for _, args := range [][]string{{"-items", "4"}, {"-pipeline=false"}} {
+	for _, args := range [][]string{
+		{"-items", "4"}, {"-pipeline=false"},
+		{"-metrics", "127.0.0.1:9090"}, {"-pprof", "127.0.0.1:6060"},
+		{"-batch-max", "8"}, {"-batch-queue", "32"},
+	} {
 		if _, err := ParseFlags(append([]string{"-cluster", "0=127.0.0.1:7000"}, args...)); err == nil {
 			t.Errorf("ParseFlags accepted retired flag %v", args)
 		}

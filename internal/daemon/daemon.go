@@ -56,7 +56,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -65,7 +64,6 @@ import (
 	"coterie/internal/core"
 	"coterie/internal/nodeset"
 	"coterie/internal/obs"
-	"coterie/internal/obs/expose"
 	"coterie/internal/placement"
 	"coterie/internal/replica"
 	"coterie/internal/transport"
@@ -98,25 +96,19 @@ type Config struct {
 	// homogeneous cluster. All daemons of one deployment should agree so
 	// their solved distributions match.
 	Capacities map[nodeset.ID]float64
-	// GroupCommit enables and sizes the write combiner.
-	GroupCommit core.GroupCommitOptions
+	// GroupCommit enables the write combiner (core.Options.GroupCommit).
+	GroupCommit bool
 	// BatchProp batches stale propagation per target node.
 	BatchProp bool
 	// PoolSize is the pipelined-connections-per-peer count (0 = default).
 	PoolSize int
-	// Obs attaches a metrics registry; MetricsAddr additionally serves it
-	// over HTTP.
-	Obs         bool
-	MetricsAddr string
-	// PprofAddr serves net/http/pprof profiling endpoints (CPU, heap,
-	// mutex, block) on this address. Empty disables profiling.
-	PprofAddr string
+	// Obs attaches a metrics registry; AdminAddr serves it over HTTP.
+	Obs bool
 	// AdminAddr serves the consolidated admin plane on this address:
 	// /metrics (Prometheus text, ?format=json), /traces (flight traces,
 	// filterable by ?trace=<hex id>), /healthz (readiness + shard
-	// ownership), and /debug/pprof. Empty disables it. Unlike MetricsAddr
-	// it works without Obs (only /healthz and /debug/pprof then carry
-	// data). ":0" picks a free port; see Daemon.AdminAddr for the bound
+	// ownership), and /debug/pprof. Empty disables it. It works without
+	// Obs (only /healthz and /debug/pprof then carry data). ":0" picks a free port; see Daemon.AdminAddr for the bound
 	// address.
 	AdminAddr string
 
@@ -156,12 +148,8 @@ type Daemon struct {
 	coordEvict *obs.Counter
 	coordLive  *obs.Gauge
 
-	metrics *http.Server
-	mln     net.Listener
-	pprof   *http.Server
-	pln     net.Listener
-	admin   *http.Server
-	aln     net.Listener
+	admin *http.Server
+	aln   net.Listener
 }
 
 // coordEntry is one live coordinator in the daemon's LRU table.
@@ -290,41 +278,18 @@ func Start(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 
-	if cfg.MetricsAddr != "" && reg != obs.Nop {
-		ln, err := net.Listen("tcp", cfg.MetricsAddr)
-		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("daemon: metrics listener: %w", err)
-		}
-		d.mln = ln
-		d.metrics = &http.Server{Handler: expose.Handler(reg)}
-		go func() { _ = d.metrics.Serve(ln) }()
-	}
 	if cfg.AdminAddr != "" {
 		if err := d.startAdmin(cfg.AdminAddr); err != nil {
 			d.Close()
 			return nil, err
 		}
 	}
-	if cfg.PprofAddr != "" {
-		ln, err := net.Listen("tcp", cfg.PprofAddr)
-		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("daemon: pprof listener: %w", err)
-		}
-		// Sampled lock-contention accounting so /debug/pprof/mutex has data;
-		// the rate keeps steady-state overhead negligible.
-		runtime.SetMutexProfileFraction(100)
-		d.pln = ln
-		d.pprof = &http.Server{Handler: PprofMux()}
-		go func() { _ = d.pprof.Serve(ln) }()
-	}
 	return d, nil
 }
 
 // PprofMux returns an http mux serving the net/http/pprof endpoints under
 // /debug/pprof/, without touching http.DefaultServeMux. Shared by the
-// daemon's -pprof flag and loadgen's profiling mode so both expose the
+// daemon's admin plane and loadgen's profiling mode so both expose the
 // same surface (CPU profile, heap, mutex, block, goroutine).
 func PprofMux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -368,14 +333,6 @@ func (d *Daemon) Item(name string) *replica.Item { return d.node.Item(name) }
 // for its in-flight handlers, so no served request can touch an item while
 // the node closes it.
 func (d *Daemon) Close() {
-	if d.metrics != nil {
-		d.metrics.Close()
-		d.mln.Close()
-	}
-	if d.pprof != nil {
-		d.pprof.Close()
-		d.pln.Close()
-	}
 	if d.admin != nil {
 		d.admin.Close()
 		d.aln.Close()

@@ -213,31 +213,6 @@ func TestServedCounters(t *testing.T) {
 	}
 }
 
-func TestPerCallBaseline(t *testing.T) {
-	addrs := freeAddrs(t, 1)
-	book := map[nodeset.ID]string{1: addrs[0]}
-	srv := New(book)
-	srv.Register(1, echoHandler(nil))
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli := New(book, WithPipeline(false))
-	defer cli.Close()
-	for i := 0; i < 10; i++ {
-		reply, err := cli.Call(context.Background(), 99, 1, replica.FetchValue{Op: replica.OpID{Seq: uint64(i)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vr := reply.(replica.ValueReply); vr.Version != uint64(i) {
-			t.Fatalf("reply %d: %#v", i, vr)
-		}
-	}
-	if dials := cli.dials.Load(); dials != 10 {
-		t.Errorf("per-call mode dialed %d times for 10 calls", dials)
-	}
-}
-
 func TestObsAdoption(t *testing.T) {
 	reg := obs.New()
 	addrs := freeAddrs(t, 1)
